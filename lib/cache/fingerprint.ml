@@ -24,7 +24,9 @@ let auto_parameterize q =
   let rec go e =
     match e with
     | Expr.Const v when parameterizable v -> fresh v
-    | Expr.Const _ | Expr.Param _ | Expr.Var _ | Expr.Prop _ | Expr.Label _ -> e
+    | Expr.Const _ | Expr.Param _ | Expr.Var _ | Expr.Prop _ | Expr.Label _
+    | Expr.Adjacent _ ->
+      e
     | Expr.Binop (op, l, r) ->
       (* A constant compared against label(x) narrows the element's type
          constraint during inference — hiding it behind a parameter would

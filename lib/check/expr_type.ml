@@ -199,6 +199,14 @@ let infer ?schema ?(param_ty = fun _ -> None) ~lookup ~path e =
         warn "IN over a list of %s values never matches a %s operand"
           (to_string (List.hd vts)) (to_string t);
       Bool
+    | Expr.Adjacent { src; dst; _ } ->
+      List.iter
+        (fun x ->
+          match resolve x with
+          | Node _ | Any -> ()
+          | t -> err "adjacency test on %s, a %s value" x (to_string t))
+        [ src; dst ];
+      Bool
   in
   let t = go e in
   (t, List.rev !diags)

@@ -179,6 +179,10 @@ module Prepared = struct
     base_params : (string * Gopt_graph.Value.t list) list;
     param_names : string list;
     source : string;
+    mutable key : (int * string) option;
+        (* The plan-cache fingerprint with the stats epoch it was computed
+           for: the AST and configuration never change, so only an epoch
+           bump makes it stale. *)
   }
 
   (* Parameter placeholders surviving in the statement's expressions, in
@@ -206,9 +210,20 @@ module Prepared = struct
       List.iter (fun (e, _) -> expr e) p.order_by;
       Option.iter expr p.where
     in
+    let props = List.iter (fun (_, e) -> expr e) in
+    let path_props =
+      List.iter (fun path ->
+          props path.head.n_props;
+          List.iter
+            (fun (rel, node) ->
+              props rel.r_props;
+              props node.n_props)
+            path.tail)
+    in
     let clause = function
-      | C_match { where; _ } ->
-        List.iter (function Wc_expr e -> expr e | Wc_pattern _ -> ()) where
+      | C_match { paths; where; _ } ->
+        path_props paths;
+        List.iter (function Wc_expr e -> expr e | Wc_pattern (_, ps) -> path_props ps) where
       | C_unwind (e, _) -> expr e
       | C_with p | C_return p -> projection p
     in
@@ -221,7 +236,13 @@ module Prepared = struct
   let execute ?params ?profile ?budget ?chunk_size ?morsel_size ?workers t =
     let s = t.session in
     let key =
-      Fingerprint.digest ~config:t.config_sig ~epoch:s.Session.epoch t.ast
+      match t.key with
+      | Some (epoch, key) when epoch = s.Session.epoch -> key
+      | _ ->
+        let epoch = s.Session.epoch in
+        let key = Fingerprint.digest ~config:t.config_sig ~epoch t.ast in
+        t.key <- Some (epoch, key);
+        key
     in
     let physical, report =
       match Plan_cache.find s.Session.cache key with
@@ -262,6 +283,7 @@ let prepare_cypher ?params ?config ?(auto_params = false) (s : Session.t) src =
     base_params;
     param_names = Prepared.ast_params ast;
     source = src;
+    key = None;
   }
 
 (* --- static checking (the --lint front door) ------------------------------- *)

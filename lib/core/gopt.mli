@@ -113,9 +113,10 @@ val plan_cypher :
 
 (** Prepared statements: parse and fingerprint once, optimize on first
     execution, then re-execute with fresh parameter bindings at plan-lookup
-    cost. The prepared handle stores the deferred AST, not a plan — every
-    {!Prepared.execute} re-keys against the session's {e current} stats
-    epoch, so a {!Session.bump_stats_epoch} transparently forces one
+    cost. The prepared handle stores the deferred AST, not a plan, plus its
+    cache key together with the stats epoch the key was computed for.
+    {!Prepared.execute} re-keys only when the session's {e current} epoch
+    differs, so a {!Session.bump_stats_epoch} transparently forces one
     re-optimization and never serves a stale plan. *)
 module Prepared : sig
   type t
@@ -151,8 +152,10 @@ val prepare_cypher :
   string ->
   Prepared.t
 (** Parse [src] with deferred scalar parameters (see
-    {!Gopt_lang.Cypher_parser.parse}). [params] supplies [IN]-list and
-    property-map parameters, which must bind at prepare time. With
+    {!Gopt_lang.Cypher_parser.parse}), property-map values such as
+    [(p:Person {id: $pid})] included. [params] supplies [IN]-list
+    parameters, which must bind at prepare time; a property-map parameter it
+    binds is substituted instead of deferred. With
     [auto_params], scalar literals are additionally lifted into placeholder
     slots ({!Gopt_cache.Fingerprint.auto_parameterize}), so statements
     differing only in literals share one cache entry; the extracted values

@@ -72,6 +72,21 @@ let logic_or a b =
   | Value.Bool false, Value.Bool false -> Value.Bool false
   | _ -> Value.Null
 
+(* Edge types admitted by an adjacency test's constraint. *)
+let adjacency_etypes g con =
+  Gopt_pattern.Type_constraint.to_list
+    ~universe:(Gopt_graph.Schema.n_etypes (G.schema g))
+    con
+
+(* Is there an edge of one of [etypes] from [u] to [w] (either way when
+   undirected)? One sorted-adjacency lookup per type and direction. *)
+let adjacent g etypes ~directed u w =
+  List.exists
+    (fun et ->
+      G.has_out_edge g ~src:u ~etype:et ~dst:w
+      || ((not directed) && G.has_out_edge g ~src:w ~etype:et ~dst:u))
+    etypes
+
 let rec eval_rval g lookup e =
   match e with
   | Expr.Var tag -> ( match lookup tag with Some v -> v | None -> Rval.Rnull)
@@ -151,6 +166,14 @@ and eval g lookup e =
   | Expr.In_list (inner, vs) ->
     let v = eval g lookup inner in
     if Value.is_null v then Value.Null else Value.Bool (List.exists (Value.equal v) vs)
+  | Expr.Adjacent { src; dst; con; directed } -> begin
+    (* an unbound or non-vertex endpoint matches no edge, exactly as the
+       hash join this test replaces finds no build row for it *)
+    match lookup src, lookup dst with
+    | Some (Rval.Rvertex u), Some (Rval.Rvertex w) ->
+      Value.Bool (adjacent g (adjacency_etypes g con) ~directed u w)
+    | _ -> Value.Bool false
+  end
 
 let is_true = function Value.Bool true -> true | _ -> false
 
@@ -308,6 +331,35 @@ let compile ?(vectorize = true) g ~fields e =
     | Expr.In_list (Expr.Prop (tag, key), vs) ->
       prop_kernel tag key (fun pv ->
           (not (Value.is_null pv)) && List.exists (Value.equal pv) vs)
+    | Expr.Adjacent { src; dst; con; directed } ->
+      Some (adjacency_kernel ~src ~dst ~con ~directed ~keep:true)
+    | Expr.Unop (Expr.Not, Expr.Adjacent { src; dst; con; directed }) ->
+      Some (adjacency_kernel ~src ~dst ~con ~directed ~keep:false)
     | _ -> None
+  (* [Adjacent] is never Null, so its negation is a plain complement: a row
+     survives when the test's outcome equals [keep] *)
+  and adjacency_kernel ~src ~dst ~con ~directed ~keep =
+    let etypes = adjacency_etypes g con in
+    match Batch.pos_opt layout src, Batch.pos_opt layout dst with
+    | Some js, Some jd ->
+      let vertex_at col p =
+        match col with
+        | Batch.D_vertex ids -> ids.(p)
+        | Batch.D_boxed vals -> ( match vals.(p) with Rval.Rvertex v -> v | _ -> -1)
+        | Batch.D_edge _ -> -1
+      in
+      {
+        k_vectorized = true;
+        k_run =
+          (fun b cand ->
+            let cs = Batch.col b js and cd = Batch.col b jd in
+            narrow b cand (fun p ->
+                let u = vertex_at cs p and w = vertex_at cd p in
+                let hit = u >= 0 && w >= 0 && adjacent g etypes ~directed u w in
+                hit = keep));
+      }
+    | _ ->
+      (* an endpoint absent from the layout: the test is false on every row *)
+      { k_vectorized = true; k_run = (fun _ cand -> if keep then [||] else cand) }
   in
   if vectorize then build e else fallback g e

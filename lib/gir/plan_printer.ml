@@ -44,7 +44,7 @@ let pp ?schema ppf plan =
       go (indent + 1) left;
       go (indent + 1) right
     | Logical.Select (x, e) ->
-      line "SELECT %s" (Expr.to_string e);
+      line "SELECT %s" (Expr.to_string ?schema e);
       go (indent + 1) x
     | Logical.Project (x, ps) ->
       line "PROJECT %s"

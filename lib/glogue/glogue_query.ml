@@ -148,15 +148,23 @@ let strip p =
    from the data; otherwise the constant default applies, refined for the
    recognizable unique-key shapes that matter in the workloads — point
    lookups and IN-lists over an "id" property, whose selectivity is the
-   lookup-set size over the element population. *)
+   lookup-set size over the element population.
+
+   A [$param] is a constant whose value arrives only at execution. Equality
+   and IN estimates read distinct counts, never the value, so [p.id = $x]
+   gets exactly the estimate of [p.id = 42] and a prepared statement's
+   generic plan is the plan its literal form gets. A range needs the value:
+   against a [$param] it keeps the default, as without a histogram. *)
 let rec pred_selectivity t ~elem ~type_ids ~base pred =
   let open Gopt_pattern.Expr in
   let point = 1.0 /. Float.max 1.0 base in
-  let from_hist prop shape =
-    match t.hist with
-    | None -> None
-    | Some h -> Histograms.selectivity h ~elem ~type_ids ~prop shape
+  let from_hist prop shape ~default =
+    match Option.bind t.hist (fun h -> Histograms.selectivity h ~elem ~type_ids ~prop shape) with
+    | Some s -> s
+    | None -> default
   in
+  let is_constant = function Const _ | Param _ -> true | _ -> false in
+  let eq key = from_hist key `Eq ~default:(if key = "id" then point else t.sel) in
   let range_of = function
     | Lt -> Some `Lt
     | Leq -> Some `Leq
@@ -164,11 +172,7 @@ let rec pred_selectivity t ~elem ~type_ids ~base pred =
     | Geq -> Some `Geq
     | _ -> None
   in
-  let fallback = function
-    | In_list (Prop (_, "id"), vs) -> Float.min 1.0 (float_of_int (List.length vs) *. point)
-    | Binop (Eq, Prop (_, "id"), Const _) | Binop (Eq, Const _, Prop (_, "id")) -> point
-    | _ -> t.sel
-  in
+  let mirror = function `Lt -> `Gt | `Leq -> `Geq | `Gt -> `Lt | `Geq -> `Leq in
   match pred with
   | Binop (And, a, b) ->
     pred_selectivity t ~elem ~type_ids ~base a *. pred_selectivity t ~elem ~type_ids ~base b
@@ -176,31 +180,18 @@ let rec pred_selectivity t ~elem ~type_ids ~base pred =
     Float.min 1.0
       (pred_selectivity t ~elem ~type_ids ~base a
       +. pred_selectivity t ~elem ~type_ids ~base b)
-  | In_list (Prop (_, key), vs) as p -> begin
-    match from_hist key (`In vs) with Some s -> s | None -> fallback p
-  end
-  | Binop (Eq, Prop (_, key), Const v) | Binop (Eq, Const v, Prop (_, key)) -> begin
-    match from_hist key (`Eq v) with
-    | Some s -> s
-    | None -> fallback (Binop (Eq, Prop ("_", key), Const v))
-  end
-  | Binop (op, Prop (_, key), Const v) when range_of op <> None -> begin
-    match from_hist key (`Range (Option.get (range_of op), v)) with
-    | Some s -> s
-    | None -> t.sel
-  end
-  | Binop (op, Const v, Prop (_, key)) when range_of op <> None -> begin
-    (* const OP prop: mirror the operator *)
-    let mirrored =
-      match Option.get (range_of op) with
-      | `Lt -> `Gt
-      | `Leq -> `Geq
-      | `Gt -> `Lt
-      | `Geq -> `Leq
-    in
-    match from_hist key (`Range (mirrored, v)) with Some s -> s | None -> t.sel
-  end
-  | p -> fallback p
+  | In_list (Prop (_, key), vs) ->
+    from_hist key (`In vs)
+      ~default:
+        (if key = "id" then Float.min 1.0 (float_of_int (List.length vs) *. point)
+         else t.sel)
+  | Binop (Eq, Prop (_, key), c) when is_constant c -> eq key
+  | Binop (Eq, c, Prop (_, key)) when is_constant c -> eq key
+  | Binop (op, Prop (_, key), Const v) when range_of op <> None ->
+    from_hist key (`Range (Option.get (range_of op), v)) ~default:t.sel
+  | Binop (op, Const v, Prop (_, key)) when range_of op <> None ->
+    from_hist key (`Range (mirror (Option.get (range_of op)), v)) ~default:t.sel
+  | _ -> t.sel
 
 let selectivity_factor t p =
   let sch = schema t in

@@ -124,7 +124,7 @@ let fraction_below col x =
 
 let column_selectivity col pred =
   match pred with
-  | `Eq _ -> Some (1.0 /. float_of_int (max 1 col.distinct))
+  | `Eq -> Some (1.0 /. float_of_int (max 1 col.distinct))
   | `In vs ->
     Some (Float.min 1.0 (float_of_int (List.length vs) /. float_of_int (max 1 col.distinct)))
   | `Range (op, v) -> begin

@@ -27,14 +27,17 @@ val selectivity :
   elem:elem ->
   type_ids:int list ->
   prop:string ->
-  [ `Eq of Gopt_graph.Value.t
-  | `Range of [ `Lt | `Leq | `Gt | `Geq ] * Gopt_graph.Value.t
-  | `In of Gopt_graph.Value.t list ] ->
+  [ `Eq | `Range of [ `Lt | `Leq | `Gt | `Geq ] * Gopt_graph.Value.t | `In of Gopt_graph.Value.t list ] ->
   float option
 (** Estimated fraction of elements (of any of the given types) satisfying
     the comparison on [prop]; [None] when no statistics were collected for
     the column (e.g. an unknown property). Multiple types are combined by
-    population-weighted averaging. *)
+    population-weighted averaging.
+
+    [`Eq] is equality with any one value: under the uniform assumption its
+    estimate is [1/distinct] whatever the value, so it takes none, and an
+    equality against a query parameter is estimated like one against a
+    literal. [`In] likewise reads only the list's length. *)
 
 val n_columns : t -> int
 (** Number of (type, property) columns with statistics. *)

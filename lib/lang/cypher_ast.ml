@@ -1,7 +1,7 @@
 type node_pat = {
   n_name : string option;
   n_labels : string list;
-  n_props : (string * Gopt_graph.Value.t) list;
+  n_props : (string * Gopt_pattern.Expr.t) list;
 }
 
 type rel_dir = R_out | R_in | R_both
@@ -11,7 +11,7 @@ type rel_pat = {
   r_types : string list;
   r_dir : rel_dir;
   r_hops : (int * int) option;
-  r_props : (string * Gopt_graph.Value.t) list;
+  r_props : (string * Gopt_pattern.Expr.t) list;
 }
 
 type path_pat = { head : node_pat; tail : (rel_pat * node_pat) list }

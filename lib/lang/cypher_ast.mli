@@ -10,7 +10,9 @@
 type node_pat = {
   n_name : string option;
   n_labels : string list;  (** [] = unlabelled; several = UnionType. *)
-  n_props : (string * Gopt_graph.Value.t) list;  (** [{key: value}] sugar. *)
+  n_props : (string * Gopt_pattern.Expr.t) list;
+      (** [{key: value}] sugar; each value is a [Const] or, in a prepared
+          statement, a [Param]. *)
 }
 
 type rel_dir = R_out | R_in | R_both
@@ -20,7 +22,7 @@ type rel_pat = {
   r_types : string list;
   r_dir : rel_dir;
   r_hops : (int * int) option;  (** [*], [*n], [*n..m] *)
-  r_props : (string * Gopt_graph.Value.t) list;
+  r_props : (string * Gopt_pattern.Expr.t) list;  (** As [n_props]. *)
 }
 
 type path_pat = { head : node_pat; tail : (rel_pat * node_pat) list }

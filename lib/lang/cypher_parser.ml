@@ -12,8 +12,9 @@ type state = {
   params : (string * Value.t list) list;
   defer : bool;
       (* Prepared-statement mode: scalar [$x] parses to [Expr.Param x] instead
-         of being substituted from [params]; IN-lists and property maps still
-         bind at parse time (they shape the pattern, not a runtime value). *)
+         of being substituted from [params]; so does a property-map [$x] that
+         [params] does not bind. IN-lists still bind at parse time (their
+         value set shapes the plan, not a runtime value). *)
 }
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
@@ -279,13 +280,19 @@ let props_map st =
         expect st L.Colon ":";
         let v =
           match peek st with
-          | L.Dollar ->
+          | L.Dollar -> begin
             advance st;
             let name = ident st in
-            (match param_values st name with
-            | [ v ] -> v
-            | _ -> fail "multi-value parameter $%s in a property map" name)
-          | _ -> literal st
+            (* a binding supplied at parse time is substituted; in a prepared
+               statement an unsupplied one stays a placeholder *)
+            match List.assoc_opt name st.params with
+            | None when st.defer -> Expr.Param name
+            | _ -> (
+              match param_values st name with
+              | [ v ] -> Expr.Const v
+              | _ -> fail "multi-value parameter $%s in a property map" name)
+          end
+          | _ -> Expr.Const (literal st)
         in
         acc := (key, v) :: !acc;
         if peek st = L.Comma then begin

@@ -7,9 +7,10 @@
 
     With [defer_params] (prepared statements), scalar [$name] parses to
     {!Gopt_pattern.Expr.Param} — a placeholder carried through the whole
-    optimization pipeline and bound at execution — while [IN]-list and
-    property-map parameters still substitute at parse time from [params]
-    (they shape the pattern itself, not a runtime scalar). *)
+    optimization pipeline and bound at execution. A property-map value
+    [{key: $name}] does the same unless [params] binds [name], in which case
+    it is substituted as before. [IN]-list parameters always substitute at
+    parse time from [params] (the value set shapes the plan). *)
 
 exception Parse_error of string
 

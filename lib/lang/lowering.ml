@@ -53,8 +53,7 @@ let resolve_econ schema types =
            (String.concat "; " types) (Schema.n_etypes schema)))
 
 let props_pred alias props =
-  Expr.conj
-    (List.map (fun (k, v) -> Expr.Binop (Expr.Eq, Expr.Prop (alias, k), Expr.Const v)) props)
+  Expr.conj (List.map (fun (k, v) -> Expr.Binop (Expr.Eq, Expr.Prop (alias, k), v)) props)
 
 let conj_opt a b =
   match a, b with

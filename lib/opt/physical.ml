@@ -257,7 +257,7 @@ let node_label ?schema plan =
       | Logical.Semi -> "SEMI"
       | Logical.Anti -> "ANTI")
       (String.concat ", " keys)
-  | Select (_, e) -> Printf.sprintf "Select(%s)" (Expr.to_string e)
+  | Select (_, e) -> Printf.sprintf "Select(%s)" (Expr.to_string ?schema e)
   | Project (_, ps) ->
     Printf.sprintf "Project(%s)"
       (String.concat ", "

@@ -170,6 +170,8 @@ let rec enc_expr = function
   | Expr.Binop (op, l, r) -> List [ Atom "binop"; Atom (binop_name op); enc_expr l; enc_expr r ]
   | Expr.Unop (op, e) -> List [ Atom "unop"; Atom (unop_name op); enc_expr e ]
   | Expr.In_list (e, vs) -> List (Atom "in" :: enc_expr e :: List.map enc_value vs)
+  | Expr.Adjacent { src; dst; con; directed } ->
+    List [ Atom "adjacent"; Atom src; Atom dst; enc_tc con; enc_bool directed ]
 
 let enc_opt enc = function None -> Atom "-" | Some x -> List [ Atom "some"; enc x ]
 
@@ -315,6 +317,8 @@ let rec dec_expr = function
   | List [ Atom "binop"; Atom op; l; r ] -> Expr.Binop (binop_of op, dec_expr l, dec_expr r)
   | List [ Atom "unop"; Atom op; e ] -> Expr.Unop (unop_of op, dec_expr e)
   | List (Atom "in" :: e :: vs) -> Expr.In_list (dec_expr e, List.map dec_value vs)
+  | List [ Atom "adjacent"; Atom src; Atom dst; con; directed ] ->
+    Expr.Adjacent { src; dst; con = dec_tc con; directed = dec_bool directed }
   | _ -> fail "malformed expression"
 
 let dec_edge = function

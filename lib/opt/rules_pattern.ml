@@ -220,12 +220,102 @@ let com_sub_pattern =
       end
       | _ -> None)
 
+(* --- PatternProbe -------------------------------------------------------- *)
+
+(* The constraint [plan] puts on the vertex it binds to [alias]: found in the
+   pattern that binds it, through operators that pass the field on
+   unchanged. [None] when it cannot be traced. *)
+let rec bound_con plan alias =
+  let in_pattern p =
+    Option.map (fun v -> (Pattern.vertex p v).Pattern.v_con) (Pattern.vertex_of_alias p alias)
+  in
+  match plan with
+  | Logical.Match p -> in_pattern p
+  | Logical.Pattern_cont (x, p) -> (
+    match in_pattern p with Some c -> Some c | None -> bound_con x alias)
+  | Logical.Select (x, _)
+  | Logical.Dedup (x, _)
+  | Logical.All_distinct (x, _)
+  | Logical.Order (x, _, _)
+  | Logical.Limit (x, _)
+  | Logical.Skip (x, _) ->
+    bound_con x alias
+  | Logical.Project (x, ps) ->
+    if List.exists (fun (e, a) -> a = alias && Expr.equal e (Expr.Var alias)) ps then
+      bound_con x alias
+    else None
+  | Logical.Join { left; right; kind; _ } -> begin
+    match bound_con left alias, kind with
+    | Some c, _ -> Some c
+    | None, (Logical.Inner | Logical.Left_outer) -> bound_con right alias
+    | None, (Logical.Semi | Logical.Anti) -> None
+  end
+  | _ -> None
+
+(* A pattern predicate [WHERE [NOT] (a)-[:T]-(b)] over two vertices the
+   query already binds asks one adjacency question per row. Lowered, it is a
+   semi/anti hash join whose build side matches the whole edge relation;
+   this rule turns it into [Select ([NOT] Adjacent)] on the left input, a
+   sorted-adjacency probe per row with no build side. It fires only when
+   the probe answers exactly what the join did:
+   - the pattern is one single-hop edge without a predicate;
+   - its two distinct endpoints are exactly the join keys;
+   - neither endpoint carries a predicate, and each endpoint's constraint
+     admits every vertex the left side can bind to it.
+   A null endpoint (OPTIONAL MATCH) finds no build row in the join and makes
+   [Adjacent] false, so both keep the same rows. *)
+let pattern_probe =
+  Rule.make "PatternProbe" (fun node ->
+      match node with
+      | Logical.Join
+          { left; right = Logical.Match p; keys; kind = (Logical.Semi | Logical.Anti) as kind }
+        when Pattern.n_vertices p = 2 && Pattern.n_edges p = 1 -> begin
+        let e = Pattern.edge p 0 in
+        let src = Pattern.vertex p e.Pattern.e_src and dst = Pattern.vertex p e.Pattern.e_dst in
+        (* [covers bound c]: every type [bound] admits, [c] admits too; the
+           type universe only matters for [All], matched first *)
+        let covers bound c =
+          match bound, c with
+          | _, Tc.All -> true
+          | Tc.All, _ -> false
+          | _ -> Tc.subset ~universe:0 bound c
+        in
+        let endpoint_ok (v : Pattern.vertex) =
+          v.Pattern.v_pred = None
+          &&
+          match bound_con left v.Pattern.v_alias with
+          | Some bound -> covers bound v.Pattern.v_con
+          | None -> Tc.is_all v.Pattern.v_con
+        in
+        if
+          e.Pattern.e_hops = None
+          && e.Pattern.e_pred = None
+          && List.sort String.compare keys
+             = List.sort String.compare [ src.Pattern.v_alias; dst.Pattern.v_alias ]
+          && endpoint_ok src && endpoint_ok dst
+        then
+          let probe =
+            Expr.Adjacent
+              {
+                src = src.Pattern.v_alias;
+                dst = dst.Pattern.v_alias;
+                con = e.Pattern.e_con;
+                directed = e.Pattern.e_directed;
+              }
+          in
+          Some
+            (Logical.Select
+               (left, if kind = Logical.Semi then probe else Expr.Unop (Expr.Not, probe)))
+        else None
+      end
+      | _ -> None)
+
 (* --- FieldTrim ----------------------------------------------------------- *)
 
 let expr_tags e = SS.of_list (Expr.free_tags e)
 
 let rec expr_props acc = function
-  | Expr.Const _ | Expr.Param _ | Expr.Var _ | Expr.Label _ -> acc
+  | Expr.Const _ | Expr.Param _ | Expr.Var _ | Expr.Label _ | Expr.Adjacent _ -> acc
   | Expr.Prop (tag, key) -> (tag, key) :: acc
   | Expr.Binop (_, l, r) -> expr_props (expr_props acc l) r
   | Expr.Unop (_, e) | Expr.In_list (e, _) -> expr_props acc e
@@ -360,4 +450,4 @@ let field_trim plan =
   in
   go plan (SS.of_list (Logical.output_fields plan)) [] ~narrow:false
 
-let all = [ filter_into_pattern; join_to_pattern; com_sub_pattern ]
+let all = [ filter_into_pattern; join_to_pattern; com_sub_pattern; pattern_probe ]

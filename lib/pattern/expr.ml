@@ -17,6 +17,7 @@ type t =
   | Binop of binop * t * t
   | Unop of unop * t
   | In_list of t * Value.t list
+  | Adjacent of { src : string; dst : string; con : Type_constraint.t; directed : bool }
 
 let rec compare a b = Stdlib.compare (erase a) (erase b)
 
@@ -31,6 +32,8 @@ and erase = function
   | Binop (op, l, r) -> `Binop (op, erase l, erase r)
   | Unop (op, e) -> `Unop (op, erase e)
   | In_list (e, vs) -> `In (erase e, List.map Value.to_string vs)
+  | Adjacent { src; dst; con; directed } ->
+    `Adjacent (src, dst, Type_constraint.fingerprint con, directed)
 
 let equal a b = compare a b = 0
 
@@ -49,6 +52,7 @@ let free_tags e =
     | Binop (_, l, r) -> go l; go r
     | Unop (_, e) -> go e
     | In_list (e, _) -> go e
+    | Adjacent { src; dst; _ } -> visit src; visit dst
   in
   go e;
   List.rev !acc
@@ -57,7 +61,7 @@ let params e =
   let seen = Hashtbl.create 4 in
   let acc = ref [] in
   let rec go = function
-    | Const _ | Var _ | Prop _ | Label _ -> ()
+    | Const _ | Var _ | Prop _ | Label _ | Adjacent _ -> ()
     | Param name ->
       if not (Hashtbl.mem seen name) then begin
         Hashtbl.add seen name ();
@@ -71,7 +75,7 @@ let params e =
   List.rev !acc
 
 let rec bind_params f = function
-  | (Const _ | Var _ | Prop _ | Label _) as e -> e
+  | (Const _ | Var _ | Prop _ | Label _ | Adjacent _) as e -> e
   | Param name as e -> ( match f name with Some v -> Const v | None -> e)
   | Binop (op, l, r) -> Binop (op, bind_params f l, bind_params f r)
   | Unop (op, e) -> Unop (op, bind_params f e)
@@ -93,6 +97,7 @@ let rec rename_tags f = function
   | Binop (op, l, r) -> Binop (op, rename_tags f l, rename_tags f r)
   | Unop (op, e) -> Unop (op, rename_tags f e)
   | In_list (e, vs) -> In_list (rename_tags f e, vs)
+  | Adjacent a -> Adjacent { a with src = f a.src; dst = f a.dst }
 
 let substitute f e =
   let exception Fail in
@@ -114,6 +119,12 @@ let substitute f e =
     | Binop (op, l, r) -> Binop (op, go l, go r)
     | Unop (op, inner) -> Unop (op, go inner)
     | In_list (inner, vs) -> In_list (go inner, vs)
+    | Adjacent a ->
+      (* like [Prop]: an endpoint can only be renamed to another tag *)
+      let endpoint x =
+        match f x with Some (Var y) -> y | Some _ -> raise Fail | None -> x
+      in
+      Adjacent { a with src = endpoint a.src; dst = endpoint a.dst }
   in
   match go e with e' -> Some e' | exception Fail -> None
 
@@ -162,7 +173,7 @@ let cmp_binop op x y =
 
 let rec const_fold e =
   match e with
-  | Const _ | Param _ | Var _ | Prop _ | Label _ -> e
+  | Const _ | Param _ | Var _ | Prop _ | Label _ | Adjacent _ -> e
   | Unop (op, inner) -> begin
     let inner = const_fold inner in
     match op, inner with
@@ -200,7 +211,9 @@ let binop_name = function
   | And -> "AND" | Or -> "OR"
   | Starts_with -> "STARTS WITH" | Ends_with -> "ENDS WITH" | Contains -> "CONTAINS"
 
-let rec pp ppf = function
+let rec pp_with ename ppf =
+  let pp = pp_with ename in
+  function
   | Const v -> Value.pp ppf v
   | Param x -> Format.fprintf ppf "$%s" x
   | Var x -> Format.pp_print_string ppf x
@@ -214,5 +227,16 @@ let rec pp ppf = function
   | In_list (e, vs) ->
     Format.fprintf ppf "%a IN [%s]" pp e
       (String.concat "; " (List.map Value.to_string vs))
+  | Adjacent { src; dst; con; directed } ->
+    Format.fprintf ppf "(%s)-[:%a]-%s(%s)" src
+      (Type_constraint.pp ~names:ename)
+      con
+      (if directed then ">" else "")
+      dst
 
-let to_string e = Format.asprintf "%a" pp e
+let pp = pp_with (fun t -> "#" ^ string_of_int t)
+
+let to_string ?schema e =
+  match schema with
+  | None -> Format.asprintf "%a" pp e
+  | Some s -> Format.asprintf "%a" (pp_with (Gopt_graph.Schema.etype_name s)) e

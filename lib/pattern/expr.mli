@@ -31,12 +31,20 @@ type t =
   | Binop of binop * t * t
   | Unop of unop * t
   | In_list of t * Gopt_graph.Value.t list
+  | Adjacent of { src : string; dst : string; con : Type_constraint.t; directed : bool }
+      (** Adjacency test between two bound vertices: [true] iff an edge whose
+          type is admitted by [con] runs from [src] to [dst] (either way when
+          not [directed]); [false] when either tag is unbound or not a
+          vertex — never Null. Produced only by the optimizer's
+          PatternProbe rule, from a single-edge pattern predicate; no
+          frontend parses it. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val free_tags : t -> string list
-(** Tags the expression references, duplicate-free, in first-use order. The
+(** Tags the expression references, duplicate-free, in first-use order
+    ([Adjacent] references both endpoints). The
     FilterIntoPattern rule pushes a predicate into a pattern element only when
     all its free tags resolve to that element. *)
 
@@ -73,4 +81,8 @@ val binop_name : binop -> string
 (** Surface-syntax name of a binary operator ("+", "AND", "CONTAINS", ...). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+(** Cypher-like rendering; an [Adjacent] test prints its edge types as
+    [#id]. *)
+
+val to_string : ?schema:Gopt_graph.Schema.t -> t -> string
+(** As {!pp}; with [schema], edge types print by name. *)

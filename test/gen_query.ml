@@ -182,3 +182,85 @@ let generate seed =
     let all = if Prng.bool rng then " ALL" else "" in
     Printf.sprintf "%s UNION%s %s" (gen_union_half rng) all (gen_union_half rng)
   else gen_single rng
+
+(* --- pattern-predicate batch ----------------------------------------------
+
+   A separate entry point with its own seed stream ([generate] above is left
+   untouched): a linear MATCH as in [gen_single], sometimes followed by an
+   OPTIONAL MATCH hop, whose WHERE holds one pattern predicate
+   [[NOT] (u)-[...]-(w)] between two bound vertices — the shape the
+   PatternProbe rule rewrites — plus, sometimes, a scalar comparison. The
+   predicate's edge is a type joining the two labels, any single type, a
+   two-type union or untyped; it points either way or is undirected; an
+   endpoint sometimes restates (or contradicts) its label, and sometimes the
+   far end is a fresh anonymous vertex, so the rule must also decline. With
+   an OPTIONAL MATCH the predicate touches its possibly-null vertex. *)
+
+let etypes = [| "KNOWS"; "LIVES_IN"; "PRODUCED_IN"; "PURCHASED" |]
+
+let gen_pattern_pred rng (u : node) (w : node) =
+  let joining =
+    Array.to_list triples
+    |> List.filter_map (fun (s, e, d) ->
+           if (s = u.label && d = w.label) || (s = w.label && d = u.label) then Some e
+           else None)
+  in
+  let types =
+    match Prng.int rng 5 with
+    | 0 -> ""
+    | 1 ->
+      let i = Prng.int rng 4 in
+      let j = (i + 1 + Prng.int rng 3) mod 4 in
+      Printf.sprintf ":%s|%s" etypes.(i) etypes.(j)
+    | 2 -> ":" ^ Prng.choice rng etypes
+    | _ -> ":" ^ (match joining with [] -> "KNOWS" | l -> Prng.choice rng (Array.of_list l))
+  in
+  let endpoint (n : node) =
+    match Prng.int rng 8 with
+    | 0 -> Printf.sprintf "(%s:%s)" n.var (vname n.label)
+    | 1 -> Printf.sprintf "(%s:%s)" n.var (vname (Prng.choice rng [| Person; City; Product |]))
+    | _ -> Printf.sprintf "(%s)" n.var
+  in
+  let near = endpoint u in
+  let far = if Prng.int rng 8 = 0 then Printf.sprintf "(:%s)" (vname w.label) else endpoint w in
+  let edge =
+    match Prng.int rng 3 with
+    | 0 -> Printf.sprintf "-[%s]->" types
+    | 1 -> Printf.sprintf "<-[%s]-" types
+    | _ -> Printf.sprintf "-[%s]-" types
+  in
+  Printf.sprintf "%s%s%s%s" (if Prng.int rng 3 = 0 then "" else "NOT ") near edge far
+
+let generate_pattern_predicate seed =
+  let rng = Prng.create seed in
+  let pattern, nodes = gen_pattern rng in
+  let optional, nodes, u =
+    if Prng.int rng 3 = 0 then begin
+      let anchor = Prng.choice rng (Array.of_list nodes) in
+      let e, label, forward =
+        Prng.choice rng
+          (Array.of_list
+             (Array.to_list triples
+             |> List.concat_map (fun (s, e, d) ->
+                    (if s = anchor.label then [ (e, d, true) ] else [])
+                    @ if d = anchor.label then [ (e, s, false) ] else [])))
+      in
+      let o = { var = "o"; label } in
+      ( Printf.sprintf " OPTIONAL MATCH (%s)%s(o:%s)" anchor.var
+          (if forward then Printf.sprintf "-[:%s]->" e else Printf.sprintf "<-[:%s]-" e)
+          (vname label),
+        nodes @ [ o ],
+        o )
+    end
+    else ("", nodes, Prng.choice rng (Array.of_list nodes))
+  in
+  let others = List.filter (fun n -> n.var <> u.var) nodes in
+  let w = Prng.choice rng (Array.of_list others) in
+  let pred = gen_pattern_pred rng u w in
+  let where =
+    if Prng.bool rng then Printf.sprintf " WHERE %s AND %s" (gen_pred rng nodes) pred
+    else Printf.sprintf " WHERE %s" pred
+  in
+  let ret, aliases = gen_return rng nodes in
+  let tail = gen_tail rng aliases in
+  Printf.sprintf "MATCH %s%s%s RETURN %s%s" pattern optional where ret tail

@@ -460,6 +460,172 @@ let test_session_eviction () =
   Alcotest.(check string) "evicted re-run identical" (List.hd renders)
     (render g again.Gopt.result)
 
+(* --- generic-plan quality --------------------------------------------------- *)
+
+let replace_all ~sub ~by s =
+  let n = String.length sub in
+  let buf = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then Buffer.add_string buf (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string buf by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents buf
+
+let index_of s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i > String.length s - n then None else if String.sub s i n = sub then Some i else go (i + 1)
+  in
+  go 0
+
+(* An IC query anchored on [(p:Person {id: N})] in three serving forms: the
+   literal text for a person, the prepared text reading the person from
+   [WHERE p.id = $pid], and the prepared text keeping the anchor as
+   [{id: $pid}]. A literal [x.id <> N] names the same person and follows the
+   anchor. *)
+let ic_forms (q : Queries.query) =
+  let anchor = "(p:Person {id: " in
+  let text = q.Queries.cypher in
+  let start =
+    match index_of text anchor with
+    | Some i -> i + String.length anchor
+    | None -> Alcotest.failf "%s is not anchored on %s...})" q.Queries.name anchor
+  in
+  let n = String.sub text start (String.index_from text start '}' - start) in
+  let with_person ~anchor_by ~other_by =
+    text
+    |> replace_all ~sub:(anchor ^ n ^ "})") ~by:anchor_by
+    |> replace_all ~sub:(".id <> " ^ n) ~by:(".id <> " ^ other_by)
+  in
+  let literal pid =
+    let pid = string_of_int pid in
+    with_person ~anchor_by:(anchor ^ pid ^ "})") ~other_by:pid
+  in
+  let unanchored = with_person ~anchor_by:"(p:Person)" ~other_by:"$pid" in
+  let where_form =
+    match index_of unanchored " WHERE " with
+    | Some i ->
+      String.sub unanchored 0 i ^ " WHERE p.id = $pid AND "
+      ^ String.sub unanchored (i + 7) (String.length unanchored - i - 7)
+    | None ->
+      let i = Option.get (index_of unanchored "RETURN ") in
+      String.sub unanchored 0 i ^ "WHERE p.id = $pid "
+      ^ String.sub unanchored i (String.length unanchored - i)
+  in
+  let map_form = with_person ~anchor_by:(anchor ^ "$pid})") ~other_by:"$pid" in
+  (literal, where_form, map_form)
+
+let gate_session =
+  lazy (Gopt.Session.create (Gopt_workloads.Ldbc.generate ~persons:300 ()))
+
+(* the ids of the persons of lowest, median and highest KNOWS degree *)
+let gate_persons s =
+  let g = Gopt.Session.graph s in
+  let schema = G.schema g in
+  let person = Gopt_graph.Schema.vtype_id schema "Person" in
+  let knows = Gopt_graph.Schema.etype_id schema "KNOWS" in
+  let by_degree =
+    Array.map
+      (fun v -> (G.out_degree_etype g v knows + G.in_degree_etype g v knows, v))
+      (G.vertices_of_vtype g person)
+  in
+  Array.sort compare by_degree;
+  let id i =
+    match G.vprop g (snd by_degree.(i)) "id" with
+    | Value.Int n -> n
+    | v -> Alcotest.failf "person id %s is not an int" (Value.to_string v)
+  in
+  let n = Array.length by_degree in
+  [ id 0; id (n / 2); id (n - 1) ]
+
+(* The regression gate for generic plans: for every IC query, the plan a
+   prepared [WHERE p.id = $pid] statement gets, once bound, is the plan the
+   literal query gets — the same operator tree, node for node — and touches
+   the same number of edges for a low-, a median- and a high-degree person.
+   Before [$param] equalities were estimated like literal ones, IC5's
+   generic plan scanned every Forum. *)
+let test_generic_plans_match_literal () =
+  let s = Lazy.force gate_session in
+  let g = Gopt.Session.graph s in
+  let persons = gate_persons s in
+  List.iter
+    (fun (q : Queries.query) ->
+      let literal, where_form, _ = ic_forms q in
+      let prepared = Gopt.prepare_cypher s where_form in
+      List.iter
+        (fun pid ->
+          let params = [ ("pid", [ Value.Int pid ]) ] in
+          let name = Printf.sprintf "%s, person %d" q.Queries.name pid in
+          let lit = Gopt.run_cypher ~use_cache:false s (literal pid) in
+          let gen = Gopt.Prepared.execute ~params prepared in
+          Alcotest.(check string)
+            (name ^ ": bound generic plan = literal plan")
+            (Physical.to_string lit.Gopt.physical)
+            (Physical.to_string (Physical.bind_params params gen.Gopt.physical));
+          Alcotest.(check int)
+            (name ^ ": edges touched")
+            lit.Gopt.exec_stats.Engine.edges_touched gen.Gopt.exec_stats.Engine.edges_touched;
+          Alcotest.(check string)
+            (name ^ ": results") (render g lit.Gopt.result) (render g gen.Gopt.result))
+        persons)
+    Queries.ic
+
+(* [{id: $pid}] in a pattern property map prepares (it used to fail with an
+   undefined-parameter error) and gives the plan and the results of
+   [WHERE p.id = $pid]. *)
+let test_param_in_property_map () =
+  let s = Lazy.force gate_session in
+  let g = Gopt.Session.graph s in
+  let pid = List.nth (gate_persons s) 1 in
+  let params = [ ("pid", [ Value.Int pid ]) ] in
+  List.iter
+    (fun (q : Queries.query) ->
+      let _, where_form, map_form = ic_forms q in
+      let in_map = Gopt.prepare_cypher s map_form in
+      Alcotest.(check (list string)) (q.Queries.name ^ ": declared params") [ "pid" ]
+        (Gopt.Prepared.params in_map);
+      let a = Gopt.Prepared.execute ~params (Gopt.prepare_cypher s where_form) in
+      let b = Gopt.Prepared.execute ~params in_map in
+      Alcotest.(check string)
+        (q.Queries.name ^ ": {id: $pid} plan = WHERE p.id = $pid plan")
+        (Physical.to_string a.Gopt.physical) (Physical.to_string b.Gopt.physical);
+      Alcotest.(check string)
+        (q.Queries.name ^ ": same results")
+        (render g a.Gopt.result) (render g b.Gopt.result))
+    Queries.ic;
+  (* a binding supplied at parse time still substitutes into the map *)
+  let ast = Cp.parse ~params "MATCH (p:Person {id: $pid}) RETURN p.id AS i" in
+  Alcotest.(check bool) "parse-time binding substitutes" true
+    (ast = Cp.parse (Printf.sprintf "MATCH (p:Person {id: %d}) RETURN p.id AS i" pid));
+  check_raises_containing "unbound map parameter at execution" [ "$pid" ] (fun () ->
+      Gopt.Prepared.execute (Gopt.prepare_cypher s "MATCH (p:Person {id: $pid}) RETURN p.id AS i"))
+
+(* the prepared statement keys the cache once per stats epoch: executions
+   after a bump re-key (a miss), later ones hit again *)
+let test_prepared_key_memo () =
+  let s = Gopt.Session.create Fixtures.graph in
+  let prepared = Gopt.prepare_cypher s "MATCH (a:Person) WHERE a.age > $lo RETURN a.name AS n" in
+  let params = [ ("lo", [ Value.Int 21 ]) ] in
+  let hit () =
+    match (Gopt.Prepared.execute ~params prepared).Gopt.report.Planner.plan_cache with
+    | Some note -> note.Planner.cache_hit
+    | None -> Alcotest.fail "no cache note"
+  in
+  Alcotest.(check (list bool))
+    "miss, then hits" [ false; true; true ]
+    (List.init 3 (fun _ -> hit ()));
+  Gopt.Session.bump_stats_epoch s;
+  Alcotest.(check (list bool)) "after a bump: miss, then hits" [ false; true ]
+    (List.init 2 (fun _ -> hit ()))
+
 let () =
   Alcotest.run "cache"
     [
@@ -501,5 +667,13 @@ let () =
           Alcotest.test_case "auto-params share one plan" `Quick
             test_auto_params_share_plan;
           Alcotest.test_case "session LRU eviction" `Quick test_session_eviction;
+        ] );
+      ( "generic",
+        [
+          Alcotest.test_case "IC1-IC12: generic plan = literal plan" `Quick
+            test_generic_plans_match_literal;
+          Alcotest.test_case "{id: $pid} = WHERE p.id = $pid" `Quick
+            test_param_in_property_map;
+          Alcotest.test_case "cache key memoized per epoch" `Quick test_prepared_key_memo;
         ] );
     ]

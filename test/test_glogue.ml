@@ -107,6 +107,51 @@ let test_query_selectivity () =
   in
   check_f "selectivity applied" 0.5 (Gq.get_freq gq p)
 
+(* A [$param] is a constant of unknown value: equality estimates never read
+   the value, so [a.k = $x] (either way round, on a vertex or an edge)
+   estimates exactly like [a.k = <any literal>] — from the histogram, or
+   from the id point-lookup fallback, or the default. Ranges need the value
+   and keep the default against a [$param]. *)
+let test_query_param_selectivity () =
+  let open Gopt_pattern.Expr in
+  let module Value = Gopt_graph.Value in
+  let with_hist = Gq.create ~histograms:(Gopt_glogue.Histograms.build graph) glogue in
+  let on_a pred =
+    Pattern.create
+      [| pv ~pred "a" (Tc.Basic person); pv "b" (Tc.Basic person) |]
+      [| pe "k" 0 1 (Tc.Basic knows) |]
+  in
+  let on_k pred =
+    Pattern.create
+      [| pv "a" (Tc.Basic person); pv "b" (Tc.Basic person) |]
+      [| Pattern.mk_edge ~pred ~alias:"k" ~src:0 ~dst:1 (Tc.Basic knows) |]
+  in
+  List.iter
+    (fun (name, gq) ->
+      List.iter
+        (fun (elem, tag, mk) ->
+          List.iter
+            (fun key ->
+              let param = mk (Binop (Eq, Prop (tag, key), Param "x")) in
+              let flipped = mk (Binop (Eq, Param "x", Prop (tag, key))) in
+              List.iter
+                (fun v ->
+                  let literal = mk (Binop (Eq, Prop (tag, key), Const v)) in
+                  let label =
+                    Printf.sprintf "%s, %s.%s = $x vs %s" name elem key (Value.to_string v)
+                  in
+                  check_f label (Gq.get_freq gq literal) (Gq.get_freq gq param);
+                  check_f (label ^ " (flipped)") (Gq.get_freq gq literal) (Gq.get_freq gq flipped))
+                [ Value.Int 3; Value.Int 12345; Value.Str "p0"; Value.Str "nope" ])
+            [ "id"; "name"; "age"; "since" ])
+        [ ("vertex", "a", on_a); ("edge", "k", on_k) ])
+    [ ("no histograms", gq); ("histograms", with_hist) ];
+  (* the id fallback is the point-lookup estimate, not the 0.1 default *)
+  check_f "id point lookup" (5.0 /. 4.0)
+    (Gq.get_freq gq (on_a (Binop (Eq, Prop ("a", "id"), Param "x"))));
+  let range = on_a (Binop (Gt, Prop ("a", "age"), Param "x")) in
+  check_f "range against $x: default" (5.0 *. Gq.selectivity gq) (Gq.get_freq with_hist range)
+
 let test_low_order_differs () =
   let lo = Gq.create ~mode:Gq.Low_order glogue in
   (* triangle: high-order exact = 1; low-order decomposes to wedge*sigma *)
@@ -202,6 +247,7 @@ let () =
           Alcotest.test_case "disconnected product" `Quick test_disconnected_product;
           Alcotest.test_case "var length" `Quick test_var_length_freq;
           Alcotest.test_case "eq2 worked example (fig 6 analog)" `Quick test_eq2_worked_example;
+          Alcotest.test_case "$param selectivity = literal" `Quick test_query_param_selectivity;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_estimator_exact_on_motifs ]);
     ]

@@ -279,6 +279,135 @@ let test_generator_clean () =
         (Gopt.render_diagnostics errs)
   done
 
+(* --- PatternProbe: adjacency probes vs the semi/anti hash join ----------- *)
+
+module Planner = Gopt_opt.Planner
+module Physical = Gopt_opt.Physical
+
+let without_probe =
+  let c = Planner.default_config () in
+  {
+    c with
+    Planner.rules = List.filter (fun r -> r.Gopt_opt.Rule.name <> "PatternProbe") c.Planner.rules;
+  }
+
+let rec has_pattern_join (p : Physical.t) =
+  match p with
+  | Physical.Hash_join { kind = Gopt_gir.Logical.(Semi | Anti); _ } -> true
+  | Physical.Scan _ | Physical.Common_ref _ | Physical.Empty _ -> false
+  | Physical.Expand_all (x, _)
+  | Physical.Expand_into (x, _)
+  | Physical.Expand_intersect (x, _)
+  | Physical.Path_expand (x, _)
+  | Physical.Select (x, _)
+  | Physical.Project (x, _)
+  | Physical.Group (x, _, _)
+  | Physical.Order (x, _, _)
+  | Physical.Limit (x, _)
+  | Physical.Skip (x, _)
+  | Physical.Unfold (x, _, _)
+  | Physical.Dedup (x, _)
+  | Physical.All_distinct (x, _) -> has_pattern_join x
+  | Physical.Hash_join { left; right; _ } | Physical.Union (left, right) ->
+    has_pattern_join left || has_pattern_join right
+  | Physical.With_common { common; left; right; _ } ->
+    has_pattern_join common || has_pattern_join left || has_pattern_join right
+
+(* The query planned with and without PatternProbe; the probe plan, at
+   workers 1 and 4 and chunk sizes 1, 7 and 1024, must give the bag of rows
+   the hash-join plan gives on the materialized oracle (the row count only
+   when a plan cuts at a possibly-tied LIMIT). Returns whether the rule
+   fired. *)
+let check_probe ~name s q =
+  let g = Gopt.Session.graph s in
+  let probe, _ = Gopt.plan_cypher s q in
+  let join, _ = Gopt.plan_cypher ~config:without_probe s q in
+  let oracle, _ = Engine.run_materialized g join in
+  let tie_cut = plan_has_tie_cut probe || plan_has_tie_cut join in
+  let agree what b =
+    Alcotest.(check (list string))
+      (name ^ ": fields, " ^ what)
+      (Batch.fields oracle) (Batch.fields b);
+    if tie_cut then
+      Alcotest.(check int) (name ^ ": rows, " ^ what) (Batch.n_rows oracle) (Batch.n_rows b)
+    else
+      Alcotest.(check bool) (name ^ ": same bag, " ^ what) true
+        (List.equal (List.equal Rval.equal) (canon_rows oracle) (canon_rows b))
+  in
+  agree "probe plan on the oracle" (fst (Engine.run_materialized g probe));
+  List.iter
+    (fun chunk_size ->
+      List.iter
+        (fun workers ->
+          agree
+            (Printf.sprintf "workers=%d chunk=%d" workers chunk_size)
+            (fst (Engine.run ~chunk_size ~workers ~morsel_size:16 g probe)))
+        [ 1; 4 ])
+    [ 1; 7; 1024 ];
+  not (has_pattern_join probe)
+
+let test_probe_named () =
+  let fixture = Lazy.force session in
+  let ldbc = Gopt.Session.create (Gopt_workloads.Ldbc.generate ~persons:60 ()) in
+  let workload name = (Queries.find Queries.comprehensive name).Queries.cypher in
+  List.iter
+    (fun (name, s, q) ->
+      Alcotest.(check bool) (name ^ ": rule fired") true (check_probe ~name s q))
+    [
+      ("IC10", ldbc, workload "IC10");
+      ("BI11", ldbc, workload "BI11");
+      ( "anti, directed",
+        fixture,
+        "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE NOT (b)-[:KNOWS]->(a) RETURN count(*) AS c" );
+      ( "semi, undirected",
+        fixture,
+        "MATCH (a:Person)-[:LIVES_IN]->(c:City)<-[:LIVES_IN]-(b:Person) WHERE (a)-[:KNOWS]-(b) \
+         RETURN a.name AS x, b.name AS y" );
+      ( "multi-type, undirected",
+        ldbc,
+        "MATCH (p:Person)-[:KNOWS]-(f:Person)<-[:HAS_CREATOR]-(m:Post) \
+         WHERE NOT (p)-[:LIKES|HAS_CREATOR]-(m) RETURN p.id AS pid, count(m) AS c" );
+      ( "optional endpoint",
+        fixture,
+        "MATCH (a:Person) OPTIONAL MATCH (a)-[:KNOWS]->(b:Person) \
+         WHERE NOT (b)-[:KNOWS]->(a) RETURN a.name AS x, b.name AS y" );
+      ( "optional endpoint, semi",
+        fixture,
+        "MATCH (a:Person) OPTIONAL MATCH (a)-[:PURCHASED]->(g:Product) \
+         WHERE (a)-[:PURCHASED|KNOWS]-(g) RETURN a.name AS x, g.name AS y" );
+    ]
+
+(* the seeded pattern-predicate batch; the rule must fire on a fair share *)
+let n_pattern_predicates = 60
+
+let test_probe_random () =
+  let s = Lazy.force session in
+  let fired = ref 0 in
+  for seed = 0 to n_pattern_predicates - 1 do
+    let q = Gen_query.generate_pattern_predicate seed in
+    match check_probe ~name:(Printf.sprintf "seed %d" seed) s q with
+    | true -> incr fired
+    | false -> ()
+    | exception e -> Alcotest.failf "seed %d: %s\nquery:\n  %s" seed (Printexc.to_string e) q
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "rule fired on %d of %d" !fired n_pattern_predicates)
+    true
+    (!fired >= n_pattern_predicates / 3)
+
+let test_probe_generator_clean () =
+  let s = Lazy.force session in
+  for seed = 0 to n_pattern_predicates - 1 do
+    let q = Gen_query.generate_pattern_predicate seed in
+    Alcotest.(check string) (Printf.sprintf "seed %d stable" seed) q
+      (Gen_query.generate_pattern_predicate seed);
+    match Gopt_check.Diagnostic.errors (Gopt.check_cypher s q) with
+    | [] -> ()
+    | errs ->
+      Alcotest.failf "seed %d: generator emitted an erroneous query:\n  %s\n%s" seed q
+        (Gopt.render_diagnostics errs)
+  done
+
 let () =
   Alcotest.run "parallel"
     [
@@ -295,5 +424,11 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
           Alcotest.test_case "statically clean" `Quick test_generator_clean;
+        ] );
+      ( "pattern probe",
+        [
+          Alcotest.test_case "named pattern predicates" `Quick test_probe_named;
+          Alcotest.test_case "random pattern predicates (60 seeds)" `Quick test_probe_random;
+          Alcotest.test_case "generator: stable and clean" `Quick test_probe_generator_clean;
         ] );
     ]
