@@ -979,14 +979,98 @@ let vectorized_bench () =
     geo1 geo4
     (if geo1 >= 1.5 then " — meets the 1.5x target"
      else " — below the 1.5x target at this scale");
+  (* Columnar operators above the scan: the join-, expansion-, AllDistinct-
+     and count-heavy queries on the sequential engine, with each operator
+     kind's self CPU time (mean per run) and rows from the traces *)
+  let op_queries =
+    List.map (Queries.find (Queries.qc @ Queries.qr))
+      [ "QC2a"; "QC2b"; "QC3a"; "QC3b"; "QC4a"; "QC4b"; "QR3"; "QR8" ]
+  in
+  let kind name =
+    let stop = ref (String.length name) in
+    String.iteri (fun i c -> if (c = '(' || c = '[') && i < !stop then stop := i) name;
+    String.sub name 0 !stop
+  in
+  let op_rows = ref [] and op_json = ref [] in
+  List.iter
+    (fun (q : Queries.query) ->
+      let physical, _ = Gopt.plan_cypher session q.Queries.cypher in
+      (* kind -> (self seconds, rows in, rows out), first-seen order *)
+      let per_kind : (string * (float ref * int ref * int ref)) list ref = ref [] in
+      let add_trace tr =
+        let rec go (tr : Op_trace.t) =
+          let k = kind tr.Op_trace.name in
+          let t, ri, ro =
+            match List.assoc_opt k !per_kind with
+            | Some c -> c
+            | None ->
+              let c = (ref 0.0, ref 0, ref 0) in
+              per_kind := !per_kind @ [ (k, c) ];
+              c
+          in
+          t := !t +. tr.Op_trace.time_s;
+          ri := !ri + tr.Op_trace.rows_in;
+          ro := !ro + tr.Op_trace.rows_out;
+          List.iter go tr.Op_trace.children
+        in
+        go tr
+      in
+      let run () = Engine.run ~budget:H.bench_budget graph physical in
+      let b, _ = run () in
+      let reps = ref 0 and t = ref 0.0 in
+      (* 0.1 s per query keeps the smoke run short; the figures are means
+         over the repetitions *)
+      while !t < 0.1 && !reps < 100 do
+        let t0 = Unix.gettimeofday () in
+        let _, st = run () in
+        t := !t +. (Unix.gettimeofday () -. t0);
+        incr reps;
+        Option.iter add_trace st.Engine.op_trace
+      done;
+      let reps_f = float_of_int !reps in
+      let ops =
+        List.map (fun (k, (t, ri, ro)) -> (k, !t /. reps_f, !ri / !reps, !ro / !reps)) !per_kind
+      in
+      op_rows :=
+        [
+          q.Queries.name;
+          string_of_int (Batch.n_rows b);
+          Printf.sprintf "%.3f" (!t /. reps_f *. 1e3);
+          String.concat ", "
+            (List.map (fun (k, t, _, ro) -> Printf.sprintf "%s %.2fms/%d" k (t *. 1e3) ro) ops);
+        ]
+        :: !op_rows;
+      op_json :=
+        Printf.sprintf
+          "    {\"query\": %S, \"result_rows\": %d, \"w1_s\": %s, \"operators\": [%s]}"
+          q.Queries.name (Batch.n_rows b)
+          (fnum (!t /. reps_f))
+          (String.concat ", "
+             (List.map
+                (fun (k, t, ri, ro) ->
+                  Printf.sprintf "{\"op\": %S, \"self_s\": %s, \"rows_in\": %d, \"rows_out\": %d}"
+                    k (fnum t) ri ro)
+                ops))
+        :: !op_json)
+    op_queries;
+  H.print_table
+    ~title:
+      (Printf.sprintf
+         "Columnar operators above the scan, sequential engine (persons=%d; per operator \
+          kind: self cpu time / rows out, mean per run)"
+         H.bench_persons)
+    ~header:[ "query"; "rows"; "ms w1"; "operators" ]
+    (List.rev !op_rows);
   let oc = open_out "BENCH_exec.json" in
   Printf.fprintf oc
     "{\n  \"experiment\": \"vectorized\",\n  \"persons\": %d,\n\
     \  \"filter_dominated_geomean_speedup_w1\": %s,\n\
     \  \"filter_dominated_geomean_speedup_w4\": %s,\n\
-    \  \"queries\": [\n%s\n  ]\n}\n"
+    \  \"queries\": [\n%s\n  ],\n\
+    \  \"operator_queries\": [\n%s\n  ]\n}\n"
     H.bench_persons (fnum geo1) (fnum geo4)
-    (String.concat ",\n" (List.rev !json));
+    (String.concat ",\n" (List.rev !json))
+    (String.concat ",\n" (List.rev !op_json));
   close_out oc;
   Printf.printf "wrote BENCH_exec.json\n"
 

@@ -51,15 +51,24 @@ let lint_query session config lang src =
   in
   front @ staged
 
+let named =
+  Gopt_workloads.Queries.comprehensive @ Gopt_workloads.Queries.qr
+  @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc
+
+(* the named workload query, or an error listing the known names (exit 2) *)
+let find_workload name =
+  match List.find_opt (fun q -> q.Gopt_workloads.Queries.name = name) named with
+  | Some q -> q
+  | None ->
+    Printf.eprintf "gopt: unknown workload %S; known names: %s\n" name
+      (String.concat ", " (List.map (fun q -> q.Gopt_workloads.Queries.name) named));
+    exit 2
+
 let run_lint session config lang workload query =
-  let named =
-    Gopt_workloads.Queries.comprehensive @ Gopt_workloads.Queries.qr
-    @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc
-  in
   let targets =
     match (workload, query) with
     | Some name, _ ->
-      let q = Gopt_workloads.Queries.find named name in
+      let q = find_workload name in
       [ (q.Gopt_workloads.Queries.name, q.Gopt_workloads.Queries.cypher) ]
     | None, Some q -> [ ("query", q) ]
     | None, None ->
@@ -88,6 +97,8 @@ let run_lint session config lang workload query =
 let run_main dataset persons accounts seed lang planner backend workers chunk_size
     no_vectorize explain analyze stats_only lint workload repeat cache_stats load save
     query =
+  (* reject an unknown workload name before generating the graph *)
+  Option.iter (fun name -> ignore (find_workload name)) workload;
   let graph =
     match load with
     | Some path -> Gopt_graph.Graph_io.load path
@@ -126,12 +137,7 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
     let query =
       match workload, query with
       | Some name, _ ->
-        let q =
-          Gopt_workloads.Queries.find
-            (Gopt_workloads.Queries.comprehensive @ Gopt_workloads.Queries.qr
-           @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc)
-            name
-        in
+        let q = find_workload name in
         Printf.printf "-- %s: %s\n%s\n\n" q.Gopt_workloads.Queries.name
           q.Gopt_workloads.Queries.description q.Gopt_workloads.Queries.cypher;
         q.Gopt_workloads.Queries.cypher

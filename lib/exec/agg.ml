@@ -142,3 +142,13 @@ let finish (st : state) (a : Logical.agg) =
   | Logical.Min -> Rval.Rval st.a_min
   | Logical.Max -> Rval.Rval st.a_max
   | Logical.Collect -> Rval.Rlist (List.rev st.a_collect)
+
+(* A keyless group whose aggregates are all [count( * )] needs no per-row
+   state: the pipelined and parallel engines add chunk row counts and emit
+   [count_row] at the end. *)
+let counts_rows ks aggs =
+  ks = []
+  && aggs <> []
+  && List.for_all (fun a -> a.Logical.agg_fn = Logical.Count && a.Logical.agg_arg = None) aggs
+
+let count_row aggs n = Array.of_list (List.map (fun _ -> Rval.Rval (Value.Int n)) aggs)

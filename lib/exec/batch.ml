@@ -222,7 +222,82 @@ let col t j =
 
 let selection t = t.sel
 
+(* --- gather (columnar operator output) ------------------------------------ *)
+
+let gather ?(pos = 0) t j idx n =
+  let sel = t.sel in
+  let phys k = match sel with None -> k | Some s -> s.(k) in
+  (* dense copy; [None] on the first padding index *)
+  let ints a =
+    let out = Array.make n 0 in
+    let k = ref 0 in
+    (match sel with
+    | None ->
+      while !k < n && idx.(pos + !k) >= 0 do
+        Array.unsafe_set out !k a.(idx.(pos + !k));
+        incr k
+      done
+    | Some s ->
+      while !k < n && idx.(pos + !k) >= 0 do
+        Array.unsafe_set out !k a.(s.(idx.(pos + !k)));
+        incr k
+      done);
+    if !k = n then Some out else None
+  in
+  let boxed get =
+    Array.init n (fun k ->
+        let i = idx.(pos + k) in
+        if i < 0 then Rval.Rnull else get (phys i))
+  in
+  match t.cols.(j) with
+  | C_vertex a -> (
+    match ints a with
+    | Some out -> D_vertex out
+    | None -> D_boxed (boxed (fun p -> Rval.Rvertex a.(p))))
+  | C_edge a -> (
+    match ints a with
+    | Some out -> D_edge out
+    | None -> D_boxed (boxed (fun p -> Rval.Redge a.(p))))
+  | C_boxed a -> D_boxed (boxed (fun p -> a.(p)))
+  | C_empty ->
+    if n = 0 || Array.for_all (fun i -> i < 0) (Array.sub idx pos n) then
+      D_boxed (Array.make n Rval.Rnull)
+    else invalid_arg "Batch.gather: index into an empty column"
+
+let of_columns field_list cols n =
+  let t = create field_list in
+  if List.length cols <> t.width then
+    invalid_arg
+      (Printf.sprintf "Batch.of_columns: %d columns for layout [%s]" (List.length cols)
+         (String.concat "; " field_list));
+  List.iteri
+    (fun j d ->
+      let len =
+        match d with D_vertex a | D_edge a -> Array.length a | D_boxed a -> Array.length a
+      in
+      if len < n then invalid_arg "Batch.of_columns: column shorter than the row count";
+      t.cols.(j) <-
+        (match d with
+        | D_vertex a -> C_vertex a
+        | D_edge a -> C_edge a
+        | D_boxed a -> if n = 0 then C_empty else C_boxed a))
+    cols;
+  t.phys <- n;
+  t
+
 (* --- column-wise append (exchange merge) ---------------------------------- *)
+
+(* the first [n] logical cells of an int column, compacted through [sel];
+   sized with headroom so later appends grow in place *)
+let compact a sel n =
+  let d = Array.make (max 8 (2 * n)) 0 in
+  (match sel with
+  | None -> Array.blit a 0 d 0 n
+  | Some s ->
+    for k = 0 to n - 1 do
+      d.(k) <- a.(s.(k))
+    done);
+  d
 
 let append_batch dst src =
   if dst.view || dst.sel <> None then invalid_arg "Batch.append_batch: target is a view";
@@ -256,6 +331,9 @@ let append_batch dst src =
             d.(base + k) <- a.(s.(k))
           done);
         dst.cols.(j) <- C_edge d
+      | C_vertex a, C_empty, _ when base = 0 ->
+        dst.cols.(j) <- C_vertex (compact a src.sel n)
+      | C_edge a, C_empty, _ when base = 0 -> dst.cols.(j) <- C_edge (compact a src.sel n)
       | (C_vertex _ | C_edge _ | C_boxed _), _, _ ->
         for k = 0 to n - 1 do
           set_cell dst j (base + k) (get src k j)

@@ -15,10 +15,11 @@
     views; {!add} applies only to freshly {!create}d batches.
 
     The row-oriented API ({!row}, {!iter}) is preserved for operators that
-    genuinely need row-at-a-time processing (expansions, joins): it
-    materializes row arrays on demand. Vectorized kernels instead read the
-    physical columns directly via {!col} and index them through
-    {!selection}. *)
+    genuinely need row-at-a-time processing (path expansion, sorting,
+    keyed grouping): it materializes row arrays on demand. Vectorized
+    kernels instead read the physical columns directly via {!col} and index
+    them through {!selection}; columnar operators (joins, expansions,
+    AllDistinct) build their output with {!gather} and {!of_columns}. *)
 
 type t
 
@@ -104,6 +105,21 @@ val col : t -> int -> data
 val selection : t -> int array option
 (** The selection vector: logical row [i] lives at physical index
     [sel.(i)]; [None] means the identity mapping. *)
+
+val gather : ?pos:int -> t -> int -> int array -> int -> data
+(** [gather ~pos b j idx n] copies column [j] of [b] at the logical rows
+    [idx.(pos) .. idx.(pos+n-1)] ([pos] defaults to 0; repeats allowed)
+    into a fresh dense column — the
+    gather primitive of the columnar operators: joins and expansions first
+    collect row indices, then gather every output column in one pass. An
+    index of [-1] yields [Rnull] (outer-join padding), which makes the
+    gathered column boxed. *)
+
+val of_columns : string list -> data list -> int -> t
+(** [of_columns fields cols n] is an [n]-row batch over the given columns,
+    one per field (arrays at least [n] long; they are taken over — do not
+    mutate them afterwards). Pairs with {!gather} to assemble operator
+    output column-wise. *)
 
 val append_batch : t -> t -> unit
 (** [append_batch dst src] appends [src]'s logical rows to [dst]

@@ -35,66 +35,6 @@ type sink = {
 
 (* --- shared operator cores ------------------------------------------------ *)
 
-(* Hash-join core shared by this engine and the parallel engine's probe
-   stage ([Parallel]): key extraction, build-side table, and the per-row
-   probe for all four join kinds. *)
-module Join_core = struct
-  type t = {
-    table : Rval.t array list KeyTbl.t;
-    lkeys : int list;
-    rkeys : int list;
-    right_extra_pos : int list;
-    kind : Logical.join_kind;
-    out_fields : string list;
-  }
-
-  let create ~left_fields ~right_fields ~keys ~kind =
-    let l_layout = Batch.create left_fields in
-    let r_layout = Batch.create right_fields in
-    let right_extra =
-      List.filter (fun f -> not (Batch.has_field l_layout f)) right_fields
-    in
-    let out_fields =
-      match kind with
-      | Logical.Semi | Logical.Anti -> left_fields
-      | Logical.Inner | Logical.Left_outer -> left_fields @ right_extra
-    in
-    {
-      table = KeyTbl.create 64;
-      lkeys = List.map (Batch.pos l_layout) keys;
-      rkeys = List.map (Batch.pos r_layout) keys;
-      right_extra_pos = List.map (Batch.pos r_layout) right_extra;
-      kind;
-      out_fields;
-    }
-
-  (* Build rows are consed in arrival order, so matches come back in reverse
-     arrival order — identical in both engines by construction. *)
-  let build t row =
-    let key = List.map (fun p -> row.(p)) t.rkeys in
-    let cur = Option.value ~default:[] (KeyTbl.find_opt t.table key) in
-    KeyTbl.replace t.table key (row :: cur)
-
-  let size t = KeyTbl.fold (fun _ rows n -> n + List.length rows) t.table 0
-
-  let probe t lrow emit =
-    let key = List.map (fun p -> lrow.(p)) t.lkeys in
-    let matches = Option.value ~default:[] (KeyTbl.find_opt t.table key) in
-    let emit_pair rrow =
-      emit
-        (Array.append lrow
-           (Array.of_list (List.map (fun p -> rrow.(p)) t.right_extra_pos)))
-    in
-    match t.kind with
-    | Logical.Inner -> List.iter emit_pair matches
-    | Logical.Left_outer ->
-      if matches = [] then
-        emit (Array.append lrow (Array.make (List.length t.right_extra_pos) Rval.Rnull))
-      else List.iter emit_pair matches
-    | Logical.Semi -> if matches <> [] then emit lrow
-    | Logical.Anti -> if matches = [] then emit lrow
-end
-
 (* ORDER BY comparator over evaluated sort keys, shared with the parallel
    engine's k-way merge. *)
 let compare_keys ks ka kb =
@@ -108,6 +48,17 @@ let compare_keys ks ka kb =
     | _ -> 0
   in
   go ks ka kb
+
+(* the output side of an operator, built by [emitter] inside [run] *)
+type emitter = {
+  emit : Rval.t array -> unit;  (** One row, buffered into chunks. *)
+  emit_chunk : Batch.t -> unit;  (** A whole chunk, passed on as is. *)
+  emit_rows : ?commit:(int -> unit) -> Batch.t -> unit;
+      (** Rows re-cut at [chunk_size] boundaries. *)
+  emit_slices : ?commit:(int -> unit) -> int -> (int -> int -> Batch.t) -> unit;
+      (** [n] rows built slice by slice, cut like [emit_rows]. *)
+  close : unit -> unit;
+}
 
 let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
     ?(chunk_size = default_chunk_size) ?(vectorize = true) ?source g plan =
@@ -214,11 +165,44 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
         if not (sink.k_alive ()) then raise Stop
       end
     in
+    (* append [n] finished rows, cut at the same [chunk_size] boundaries
+       row-at-a-time emission produces. [slice pos len] builds rows
+       [pos .. pos+len-1] as a batch: a slice that completes the pending
+       buffer, or is a whole chunk on its own, goes downstream as built; a
+       shorter tail is copied into the buffer. [commit k] runs right before
+       each push with the number of rows handed over so far — expansions
+       charge [edges_touched] through it up to exactly the row at which the
+       downstream chain may stop *)
+    let emit_slices ?(commit = ignore) n slice =
+      let at = ref 0 in
+      while !at < n do
+        let pending = Batch.n_rows !buf in
+        let take = min (chunk_size - pending) (n - !at) in
+        let piece = slice !at take in
+        account take;
+        at := !at + take;
+        if pending + take < chunk_size then Batch.append_batch !buf piece
+        else begin
+          commit !at;
+          if pending = 0 then sink.k_consume piece
+          else begin
+            Batch.append_batch !buf piece;
+            flush ()
+          end;
+          if not (sink.k_alive ()) then raise Stop
+        end
+      done
+    in
+    (* the rows of [b], re-cut as zero-copy slices *)
+    let emit_rows ?commit b =
+      let n = Batch.n_rows b in
+      emit_slices ?commit n (fun pos len -> if len = n then b else Batch.sub b ~pos ~len)
+    in
     let close () =
       (try flush () with Stop -> ());
       sink.k_close ()
     in
-    (emit, emit_chunk, close)
+    { emit; emit_chunk; emit_rows; emit_slices; close }
   in
   (* collect a pipeline's output into a batch (final results, the common
      sub-plan, join build inputs); collected rows are live *)
@@ -238,31 +222,36 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
   in
   let etypes con = Tc.to_list ~universe:euniv con in
   let vcheck con v = Tc.mem ~universe:vuniv con (G.vtype g v) in
-  let iter_step_adj (step : Physical.edge_step) v f =
+  (* [step_adj step] iterates [v]'s adjacency along [step] (edge types
+     resolved once per operator), calling [f eid other] per entry *)
+  let step_adj (step : Physical.edge_step) =
     let e = step.Physical.s_edge in
-    let visit_out et = G.iter_out_etype g v et (fun eid -> tick (); f eid (G.edst g eid)) in
-    let visit_in et = G.iter_in_etype g v et (fun eid -> tick (); f eid (G.esrc g eid)) in
-    List.iter
-      (fun et ->
-        if e.Pattern.e_directed then
-          if step.Physical.s_forward then visit_out et else visit_in et
-        else begin
-          visit_out et;
-          visit_in et
-        end)
-      (etypes e.Pattern.e_con)
+    let ets = etypes e.Pattern.e_con in
+    let directed = e.Pattern.e_directed and forward = step.Physical.s_forward in
+    fun v f ->
+      List.iter
+        (fun et ->
+          if (not directed) || forward then
+            G.iter_out_etype g v et (fun eid -> f eid (G.edst g eid));
+          if (not directed) || not forward then
+            G.iter_in_etype g v et (fun eid -> f eid (G.esrc g eid)))
+        ets
   in
-  let step_edges_between (step : Physical.edge_step) u w =
+  (* [step_between step u w]: the edges along [step] from [u] to [w] *)
+  let step_between (step : Physical.edge_step) =
     let e = step.Physical.s_edge in
-    List.concat_map
-      (fun et ->
-        if e.Pattern.e_directed then
-          if step.Physical.s_forward then G.find_out_edges g ~src:u ~etype:et ~dst:w
-          else G.find_out_edges g ~src:w ~etype:et ~dst:u
-        else
-          G.find_out_edges g ~src:u ~etype:et ~dst:w
-          @ G.find_out_edges g ~src:w ~etype:et ~dst:u)
-      (etypes e.Pattern.e_con)
+    let ets = etypes e.Pattern.e_con in
+    let directed = e.Pattern.e_directed and forward = step.Physical.s_forward in
+    fun u w ->
+      List.concat_map
+        (fun et ->
+          if directed then
+            if forward then G.find_out_edges g ~src:u ~etype:et ~dst:w
+            else G.find_out_edges g ~src:w ~etype:et ~dst:u
+          else
+            G.find_out_edges g ~src:u ~etype:et ~dst:w
+            @ G.find_out_edges g ~src:w ~etype:et ~dst:u)
+        ets
   in
   let sorted_step_neighbors (step : Physical.edge_step) v =
     let e = step.Physical.s_edge in
@@ -292,6 +281,17 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
     | Rval.Rvertex v -> v
     | _ -> invalid_arg "Engine: expected a vertex binding"
   in
+  (* vertex id of logical row [i] of column [j], read without boxing from a
+     dense column *)
+  let vertex_reader b j =
+    let sel = Batch.selection b in
+    match Batch.col b j, sel with
+    | Batch.D_vertex a, None -> fun i -> a.(i)
+    | Batch.D_vertex a, Some s -> fun i -> a.(s.(i))
+    | Batch.D_boxed vals, None -> fun i -> vertex_of vals.(i)
+    | Batch.D_boxed vals, Some s -> fun i -> vertex_of vals.(s.(i))
+    | Batch.D_edge _, _ -> fun _ -> invalid_arg "Engine: expected a vertex binding"
+  in
   let label plan = Physical.node_label ~schema plan in
   (* [run_plan common plan sink] executes the subtree rooted at [plan],
      pushing chunks into [sink] and closing it exactly once; returns the
@@ -307,46 +307,149 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       Op_trace.timed clk tr close;
       tr
     in
-    (* streaming unary operator: per-input-row body emitting via [emit] *)
-    let streaming ?alive x tr fields on_row =
-      let emit, _, close = emitter tr fields sink in
+    (* unary operator over whole chunks *)
+    let chunked ?alive x tr ~close consume =
       let alive = match alive with Some f -> f | None -> sink.k_alive in
-      let op =
-        mk_sink tr ~alive ~close
-          ~consume:(fun chunk -> Batch.iter (fun row -> on_row emit row) chunk)
-      in
-      let ctr = run_plan common x op in
+      let ctr = run_plan common x (mk_sink tr ~alive ~close ~consume) in
       tr.Op_trace.children <- [ ctr ];
       tr
     in
+    (* streaming unary operator: per-input-row body emitting via [emit] *)
+    let streaming ?alive x tr fields on_row =
+      let em = emitter tr fields sink in
+      chunked ?alive x tr ~close:em.close (fun chunk ->
+          Batch.iter (fun row -> on_row em.emit row) chunk)
+    in
+    (* Columnar expansion. [gen chunk ~start ~full ~visit ~cand ids] walks
+       the chunk's rows from [start] until [full ()] holds after a row:
+       [visit ()] per adjacency entry examined, [cand i] per output row
+       derived from input row [i], after pushing that row's new ids onto
+       [ids] (one buffer per appended column, edge or vertex ids per
+       [id_cols]); it returns the next row and the row-work count for the
+       budget tick. Windows of about [16 * chunk_size] candidate rows are
+       narrowed by [preds] (compiled kernels; over the new id columns alone
+       when the predicates read nothing else), then each output slice
+       gathers the input columns by row index and the new ids. Adjacency
+       entries are charged to [edges_touched] through the emitter's commit
+       hook, so a downstream stop sees the same count as row-at-a-time
+       expansion would. *)
+    let expansion x tr fields ~id_cols ~preds gen =
+      let child_width = List.length (Physical.output_fields x) in
+      let new_fields = List.filteri (fun j _ -> j >= child_width) fields in
+      let em = emitter tr fields sink in
+      (* predicates over the new columns only run on those columns, before
+         the input columns are gathered for the survivors *)
+      let preds = List.filter_map Fun.id preds in
+      let early =
+        List.for_all
+          (fun p -> List.for_all (fun t -> List.mem t new_fields) (Gopt_pattern.Expr.free_tags p))
+          preds
+      in
+      let kernels =
+        List.map (Eval.compile ~vectorize g ~fields:(if early then new_fields else fields)) preds
+      in
+      let narrow b m =
+        List.fold_left
+          (fun s k -> if Array.length s = 0 then s else run_kern tr k b s)
+          (Array.init m Fun.id) kernels
+      in
+      let rows = Ibuf.create () and touched_at = Ibuf.create () in
+      let ids = List.map (fun _ -> Ibuf.create ()) id_cols in
+      let touched = ref 0 in
+      let visit () = incr touched in
+      let cand i =
+        Ibuf.push rows i;
+        Ibuf.push touched_at !touched
+      in
+      let full () = Ibuf.length rows >= 16 * chunk_size in
+      let window chunk start =
+        Ibuf.clear rows;
+        Ibuf.clear touched_at;
+        List.iter Ibuf.clear ids;
+        touched := 0;
+        let next, work = gen chunk ~start ~full ~visit ~cand ids in
+        tick_n work;
+        let committed = ref 0 in
+        let commit c =
+          st.Op_trace.edges_touched <- st.Op_trace.edges_touched + c - !committed;
+          committed := c
+        in
+        let m = Ibuf.length rows in
+        if m > 0 then begin
+          let ri = Ibuf.data rows in
+          (* the new id columns over the window's buffers: read here, copied
+             into every output slice *)
+          let new_cols =
+            Batch.of_columns new_fields
+              (List.map2
+                 (fun kind buf ->
+                   match kind with
+                   | `Edge -> Batch.D_edge (Ibuf.data buf)
+                   | `Vertex -> Batch.D_vertex (Ibuf.data buf))
+                 id_cols ids)
+              m
+          in
+          let n_new = List.length id_cols in
+          (* [picks]: the candidates that pass [preds], in order *)
+          let all = Array.init m Fun.id in
+          let picks =
+            if kernels = [] then all
+            else if early then narrow new_cols m
+            else
+              (* a predicate reads input columns: filter the whole window *)
+              narrow
+                (Batch.of_columns fields
+                   (List.init child_width (fun j -> Batch.gather chunk j ri m)
+                   @ List.init n_new (fun j -> Batch.gather new_cols j all m))
+                   m)
+                m
+          in
+          let n = Array.length picks in
+          let in_rows = if n = m then ri else Array.map (fun k -> ri.(k)) picks in
+          em.emit_slices
+            ~commit:(fun k -> commit (Ibuf.get touched_at picks.(k - 1)))
+            n
+            (fun pos len ->
+              Batch.of_columns fields
+                (List.init child_width (fun j -> Batch.gather ~pos chunk j in_rows len)
+                @ List.init n_new (fun j -> Batch.gather ~pos new_cols j picks len))
+                len)
+        end;
+        commit !touched;
+        next
+      in
+      chunked x tr ~close:em.close (fun chunk ->
+          let n = Batch.n_rows chunk in
+          let at = ref 0 in
+          while !at < n do
+            at := window chunk !at
+          done)
+    in
     (* hash-join machinery shared by Hash_join and With_common's C_join:
-       materializes the build side via [run_build], then streams the probe
-       side *)
+       collects the build side via [run_build] into one batch, indexes it,
+       then streams the probe side through [Join_core.probe] *)
     let hash_join tr ~left_fields ~right_fields ~keys ~kind ~run_build ~run_probe =
       let jc = Join_core.create ~left_fields ~right_fields ~keys ~kind in
+      let build_rows = Batch.create right_fields in
       let build_sink =
-        mk_sink tr ~alive:sink.k_alive ~close:ignore
-          ~consume:(fun chunk ->
-            Batch.iter
-              (fun row ->
-                tick ();
-                Join_core.build jc row;
-                Op_trace.live_add st 1)
-              chunk)
+        mk_sink tr ~alive:sink.k_alive ~close:ignore ~consume:(fun chunk ->
+            let n = Batch.n_rows chunk in
+            tick_n n;
+            Batch.append_batch build_rows chunk;
+            Op_trace.live_add st n)
       in
       let build_tr = run_build build_sink in
-      let emit, _, close = emitter tr jc.Join_core.out_fields sink in
+      Op_trace.timed clk tr (fun () -> Join_core.build jc build_rows);
+      let em = emitter tr (Join_core.out_fields jc) sink in
       let probe_sink =
         mk_sink tr ~alive:sink.k_alive
           ~consume:(fun chunk ->
-            Batch.iter
-              (fun lrow ->
-                tick ();
-                Join_core.probe jc lrow emit)
-              chunk)
+            tick_n (Batch.n_rows chunk);
+            Join_core.probe ~window:(16 * chunk_size) jc chunk (fun n slice ->
+                em.emit_slices n slice))
           ~close:(fun () ->
             Op_trace.live_sub st (Join_core.size jc);
-            close ())
+            em.close ())
       in
       let probe_tr = run_probe probe_sink in
       (build_tr, probe_tr)
@@ -360,18 +463,19 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       | None -> failwith "Engine: CommonRef outside WithCommon"
       | Some cb ->
         let tr = mk_trace ~count_op:false (label plan) in
-        let emit, _, close = emitter ~count:false tr (Batch.fields cb) sink in
-        drive tr close (fun () -> Batch.iter emit cb)
+        (* zero-copy re-emission: full chunks go out as slices of [cb] *)
+        let em = emitter ~count:false tr (Batch.fields cb) sink in
+        drive tr em.close (fun () -> em.emit_rows cb)
     end
     | Physical.Scan { alias; con; pred } ->
       let tr = mk_trace (label plan) in
       let fields = [ alias ] in
       let kernel = Option.map (fun p -> Eval.compile ~vectorize g ~fields p) pred in
-      let _, emit_chunk, close = emitter tr fields sink in
+      let em = emitter tr fields sink in
       (* vectorized scan: fill a dense id column per chunk straight from the
          type index, then narrow it with the compiled predicate kernel — no
          per-vertex boxing, no per-row closure dispatch *)
-      drive tr close (fun () ->
+      drive tr em.close (fun () ->
           List.iter
             (fun t ->
               let verts = G.vertices_of_vtype g t in
@@ -383,39 +487,42 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
                 let b = Batch.of_vertex_ids alias verts ~pos:!at ~len in
                 at := !at + len;
                 match kernel with
-                | None -> emit_chunk b
+                | None -> em.emit_chunk b
                 | Some k ->
                   let selected = run_kern tr k b (Array.init len Fun.id) in
-                  if Array.length selected = len then emit_chunk b
+                  if Array.length selected = len then em.emit_chunk b
                   else if Array.length selected > 0 then
-                    emit_chunk (Batch.select b selected)
+                    em.emit_chunk (Batch.select b selected)
               done)
             (Tc.to_list ~universe:vuniv con))
     | Physical.Expand_all (x, step) ->
       let child_fields = Physical.output_fields x in
       let e_alias = step.Physical.s_edge.Pattern.e_alias in
       let fields = child_fields @ [ e_alias; step.Physical.s_to ] in
-      let layout = Batch.create fields in
-      let from_pos = Batch.pos layout step.Physical.s_from in
+      let from_pos = Batch.pos (Batch.create fields) step.Physical.s_from in
+      let to_con = step.Physical.s_to_con in
+      let adj = step_adj step in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
-          let v = vertex_of row.(from_pos) in
-          iter_step_adj step v (fun eid other ->
-              st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
-              if vcheck step.Physical.s_to_con other then begin
-                let row' = Array.append row [| Rval.Redge eid; Rval.Rvertex other |] in
-                let lk = Eval.lookup_of_row layout row' in
-                let keep =
-                  (match step.Physical.s_edge.Pattern.e_pred with
-                  | None -> true
-                  | Some p -> Eval.is_true (Eval.eval g lk p))
-                  &&
-                  match step.Physical.s_to_pred with
-                  | None -> true
-                  | Some p -> Eval.is_true (Eval.eval g lk p)
-                in
-                if keep then emit row'
-              end))
+      expansion x tr fields ~id_cols:[ `Edge; `Vertex ]
+        ~preds:[ step.Physical.s_edge.Pattern.e_pred; step.Physical.s_to_pred ]
+        (fun chunk ~start ~full ~visit ~cand ids ->
+          let eids, vids = match ids with [ e; v ] -> (e, v) | _ -> assert false in
+          let vertex = vertex_reader chunk from_pos in
+          let n = Batch.n_rows chunk in
+          let visits = ref 0 and i = ref start in
+          while !i < n && not (full ()) do
+            let row = !i in
+            adj (vertex row) (fun eid other ->
+                visit ();
+                incr visits;
+                if vcheck to_con other then begin
+                  Ibuf.push eids eid;
+                  Ibuf.push vids other;
+                  cand row
+                end);
+            incr i
+          done;
+          (!i, !visits))
     | Physical.Expand_into (x, step) ->
       let child_fields = Physical.output_fields x in
       let e_alias = step.Physical.s_edge.Pattern.e_alias in
@@ -423,53 +530,68 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let layout = Batch.create fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = Batch.pos layout step.Physical.s_to in
+      let between = step_between step in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
-          tick ();
-          let u = vertex_of row.(from_pos) and w = vertex_of row.(to_pos) in
-          List.iter
-            (fun eid ->
-              st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
-              let row' = Array.append row [| Rval.Redge eid |] in
-              let lk = Eval.lookup_of_row layout row' in
-              let keep =
-                match step.Physical.s_edge.Pattern.e_pred with
-                | None -> true
-                | Some p -> Eval.is_true (Eval.eval g lk p)
-              in
-              if keep then emit row')
-            (step_edges_between step u w))
+      expansion x tr fields ~id_cols:[ `Edge ] ~preds:[ step.Physical.s_edge.Pattern.e_pred ]
+        (fun chunk ~start ~full ~visit ~cand ids ->
+          let eids = List.hd ids in
+          let src = vertex_reader chunk from_pos and dst = vertex_reader chunk to_pos in
+          let n = Batch.n_rows chunk in
+          let i = ref start in
+          while !i < n && not (full ()) do
+            let row = !i in
+            List.iter
+              (fun eid ->
+                visit ();
+                Ibuf.push eids eid;
+                cand row)
+              (between (src row) (dst row));
+            incr i
+          done;
+          (!i, !i - start))
     | Physical.Expand_intersect (x, steps) ->
       let child_fields = Physical.output_fields x in
       let to_alias = (List.hd steps).Physical.s_to in
       let edge_aliases = List.map (fun s -> s.Physical.s_edge.Pattern.e_alias) steps in
       let fields = child_fields @ edge_aliases @ [ to_alias ] in
-      let layout = Batch.create fields in
       let child_layout = Batch.create child_fields in
       let from_pos = List.map (fun s -> Batch.pos child_layout s.Physical.s_from) steps in
       let to_con = (List.hd steps).Physical.s_to_con in
       let to_pred = (List.hd steps).Physical.s_to_pred in
-      (* hub vertices recur across rows: memoize their extracted adjacency *)
+      let betweens = List.map step_between steps in
+      let n_steps = List.length steps in
+      (* hub vertices recur across rows: memoize their extracted adjacency;
+         a fresh extraction's entries count as touched *)
       let nbr_cache : (int * int, int array) Hashtbl.t = Hashtbl.create 256 in
-      let step_neighbors idx step v =
+      let step_neighbors ~visit idx step v =
         match Hashtbl.find_opt nbr_cache (idx, v) with
         | Some a -> a
         | None ->
           let a = sorted_step_neighbors step v in
-          st.Op_trace.edges_touched <- st.Op_trace.edges_touched + Array.length a;
+          for _ = 1 to Array.length a do
+            visit ()
+          done;
           Hashtbl.add nbr_cache (idx, v) a;
           a
       in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
-          tick ();
-          let anchors = List.map (fun p -> vertex_of row.(p)) from_pos in
-          let nbr_arrays =
-            List.mapi (fun i (s, v) -> step_neighbors i s v) (List.combine steps anchors)
-          in
-          match nbr_arrays with
-          | [] -> ()
-          | _ ->
+      expansion x tr fields
+        ~id_cols:(List.map (fun _ -> `Edge) steps @ [ `Vertex ])
+        ~preds:(to_pred :: List.map (fun s -> s.Physical.s_edge.Pattern.e_pred) steps)
+        (fun chunk ~start ~full ~visit ~cand ids ->
+          let ids = Array.of_list ids in
+          let readers = List.map (vertex_reader chunk) from_pos in
+          let combo = Array.make n_steps 0 in
+          let n = Batch.n_rows chunk in
+          let work = ref 0 and row = ref start in
+          while !row < n && not (full ()) do
+            let i = !row in
+            incr row;
+            incr work;
+            let anchors = List.map (fun r -> r i) readers in
+            let nbr_arrays =
+              List.mapi (fun k (s, v) -> step_neighbors ~visit k s v) (List.combine steps anchors)
+            in
             let first =
               List.fold_left
                 (fun acc a -> if Array.length a < Array.length acc then a else acc)
@@ -478,7 +600,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
             let rest = List.filter (fun a -> a != first) nbr_arrays in
             Array.iter
               (fun c ->
-                tick ();
+                incr work;
                 if
                   List.for_all
                     (fun arr ->
@@ -491,37 +613,25 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
                     rest
                   && vcheck to_con c
                 then begin
-                  let rec assemble acc_edges = function
+                  (* one output row per combination of parallel edges, in
+                     step order *)
+                  let rec assemble k = function
                     | [] ->
-                      let row' =
-                        Array.concat
-                          [
-                            row;
-                            Array.of_list (List.rev_map (fun e -> Rval.Redge e) acc_edges);
-                            [| Rval.Rvertex c |];
-                          ]
-                      in
-                      let lk = Eval.lookup_of_row layout row' in
-                      let keep =
-                        (match to_pred with
-                        | None -> true
-                        | Some p -> Eval.is_true (Eval.eval g lk p))
-                        && List.for_all
-                             (fun (s : Physical.edge_step) ->
-                               match s.Physical.s_edge.Pattern.e_pred with
-                               | None -> true
-                               | Some p -> Eval.is_true (Eval.eval g lk p))
-                             steps
-                      in
-                      if keep then emit row'
-                    | (s, v) :: more ->
+                      Array.iteri (fun s eid -> Ibuf.push ids.(s) eid) combo;
+                      Ibuf.push ids.(n_steps) c;
+                      cand i
+                    | (between, v) :: more ->
                       List.iter
-                        (fun eid -> assemble (eid :: acc_edges) more)
-                        (step_edges_between s v c)
+                        (fun eid ->
+                          combo.(k) <- eid;
+                          assemble (k + 1) more)
+                        (between v c)
                   in
-                  assemble [] (List.combine steps anchors)
+                  assemble 0 (List.combine betweens anchors)
                 end)
-              first)
+              first
+          done;
+          (!row, !work))
     | Physical.Path_expand (x, step) ->
       let child_fields = Physical.output_fields x in
       let lo, hi =
@@ -539,6 +649,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let layout = Batch.create fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = if bound_mode then Some (Batch.pos layout step.Physical.s_to) else None in
+      let adj = step_adj step in
       let tr = mk_trace (label plan) in
       streaming x tr fields (fun emit row ->
           let v0 = vertex_of row.(from_pos) in
@@ -567,7 +678,8 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
               end
             end;
             if depth < hi then
-              iter_step_adj step v (fun eid other ->
+              adj v (fun eid other ->
+                  tick ();
                   st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
                   let ok =
                     match sem with
@@ -594,22 +706,15 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let fields = Physical.output_fields x in
       let tr = mk_trace (label plan) in
       let kernel = Eval.compile ~vectorize g ~fields pred in
-      let _, emit_chunk, close = emitter tr fields sink in
+      let em = emitter tr fields sink in
       (* vectorized filter: the kernel marks survivors and the chunk is
          forwarded as a selection-vector view — no row copying *)
-      let op =
-        mk_sink tr ~alive:sink.k_alive ~close
-          ~consume:(fun chunk ->
-            let n = Batch.n_rows chunk in
-            tick_n n;
-            let selected = run_kern tr kernel chunk (Array.init n Fun.id) in
-            if Array.length selected = n then emit_chunk chunk
-            else if Array.length selected > 0 then
-              emit_chunk (Batch.select chunk selected))
-      in
-      let ctr = run_plan common x op in
-      tr.Op_trace.children <- [ ctr ];
-      tr
+      chunked x tr ~close:em.close (fun chunk ->
+          let n = Batch.n_rows chunk in
+          tick_n n;
+          let selected = run_kern tr kernel chunk (Array.init n Fun.id) in
+          if Array.length selected = n then em.emit_chunk chunk
+          else if Array.length selected > 0 then em.emit_chunk (Batch.select chunk selected))
     | Physical.Project (x, ps) ->
       let child_fields = Physical.output_fields x in
       let child_layout = Batch.create child_fields in
@@ -633,77 +738,80 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       begin
         match var_positions with
         | Some pairs ->
-          let _, emit_chunk, close = emitter tr fields sink in
-          let op =
-            mk_sink tr ~alive:sink.k_alive ~close
-              ~consume:(fun chunk ->
-                let n = Batch.n_rows chunk in
-                tick_n n;
-                let t0 = Sys.time () in
-                let out = Batch.project chunk pairs in
-                tr.Op_trace.kernel_ns <-
-                  tr.Op_trace.kernel_ns +. ((Sys.time () -. t0) *. 1e9);
-                tr.Op_trace.rows_selected <- tr.Op_trace.rows_selected + n;
-                emit_chunk out)
-          in
-          let ctr = run_plan common x op in
-          tr.Op_trace.children <- [ ctr ];
-          tr
+          let em = emitter tr fields sink in
+          chunked x tr ~close:em.close (fun chunk ->
+              let n = Batch.n_rows chunk in
+              tick_n n;
+              let t0 = Sys.time () in
+              let out = Batch.project chunk pairs in
+              tr.Op_trace.kernel_ns <- tr.Op_trace.kernel_ns +. ((Sys.time () -. t0) *. 1e9);
+              tr.Op_trace.rows_selected <- tr.Op_trace.rows_selected + n;
+              em.emit_chunk out)
         | None ->
           streaming x tr fields (fun emit row ->
               tick ();
               let lk = Eval.lookup_of_row child_layout row in
               emit (Array.of_list (List.map (fun (e, _) -> Eval.eval_rval g lk e) ps)))
       end
+    | Physical.Group (x, ks, aggs) when Agg.counts_rows ks aggs ->
+      (* keyless row count: chunk sizes add up, no per-row state *)
+      let fields = List.map (fun a -> a.Logical.agg_alias) aggs in
+      let tr = mk_trace (label plan) in
+      let em = emitter tr fields sink in
+      let count = ref 0 in
+      chunked x tr
+        ~close:(fun () ->
+          (try em.emit (Agg.count_row aggs !count) with Stop -> ());
+          if !count > 0 then Op_trace.live_sub st 1;
+          em.close ())
+        (fun chunk ->
+          let n = Batch.n_rows chunk in
+          tick_n n;
+          (* the single group becomes live with its first row *)
+          if !count = 0 then Op_trace.live_add st 1;
+          count := !count + n)
     | Physical.Group (x, ks, aggs) ->
-      let child_fields = Physical.output_fields x in
-      let child_layout = Batch.create child_fields in
       let fields = List.map snd ks @ List.map (fun a -> a.Logical.agg_alias) aggs in
       let tr = mk_trace (label plan) in
-      let emit, _, close_down = emitter tr fields sink in
+      let em = emitter tr fields sink in
       let groups : (Rval.t list * Agg.state array) KeyTbl.t = KeyTbl.create 64 in
-      let op =
-        mk_sink tr ~alive:sink.k_alive
-          ~consume:(fun chunk ->
-            Batch.iter
-              (fun row ->
-                tick ();
-                let lk = Eval.lookup_of_row child_layout row in
-                let key = List.map (fun (e, _) -> Eval.eval_rval g lk e) ks in
-                let _, states =
-                  match KeyTbl.find_opt groups key with
-                  | Some entry -> entry
-                  | None ->
-                    let entry = (key, Array.of_list (List.map Agg.init aggs)) in
-                    KeyTbl.add groups key entry;
-                    Op_trace.live_add st 1;
-                    entry
-                in
-                Agg.update_all g lk states aggs)
-              chunk)
-          ~close:(fun () ->
-            (try
-               if KeyTbl.length groups = 0 && ks = [] then
-                 (* aggregate over an empty input still yields one row *)
-                 emit (Array.of_list (List.map (fun a -> Agg.finish (Agg.init a) a) aggs))
-               else
-                 KeyTbl.iter
-                   (fun key (_, states) ->
-                     let agg_vals = List.mapi (fun i a -> Agg.finish states.(i) a) aggs in
-                     emit (Array.of_list (key @ agg_vals)))
-                   groups
-             with Stop -> ());
-            Op_trace.live_sub st (KeyTbl.length groups);
-            close_down ())
-      in
-      let ctr = run_plan common x op in
-      tr.Op_trace.children <- [ ctr ];
-      tr
+      chunked x tr
+        ~close:(fun () ->
+          (try
+             if KeyTbl.length groups = 0 && ks = [] then
+               (* aggregate over an empty input still yields one row *)
+               em.emit (Array.of_list (List.map (fun a -> Agg.finish (Agg.init a) a) aggs))
+             else
+               KeyTbl.iter
+                 (fun key (_, states) ->
+                   let agg_vals = List.mapi (fun i a -> Agg.finish states.(i) a) aggs in
+                   em.emit (Array.of_list (key @ agg_vals)))
+                 groups
+           with Stop -> ());
+          Op_trace.live_sub st (KeyTbl.length groups);
+          em.close ())
+        (fun chunk ->
+          let n = Batch.n_rows chunk in
+          tick_n n;
+          for i = 0 to n - 1 do
+            let lk = Batch.lookup chunk i in
+            let key = List.map (fun (e, _) -> Eval.eval_rval g lk e) ks in
+            let _, states =
+              match KeyTbl.find_opt groups key with
+              | Some entry -> entry
+              | None ->
+                let entry = (key, Array.of_list (List.map Agg.init aggs)) in
+                KeyTbl.add groups key entry;
+                Op_trace.live_add st 1;
+                entry
+            in
+            Agg.update_all g lk states aggs
+          done)
     | Physical.Order (x, ks, lim) ->
       let fields = Physical.output_fields x in
       let layout = Batch.create fields in
       let tr = mk_trace (label plan) in
-      let emit, _, close_down = emitter tr fields sink in
+      let em = emitter tr fields sink in
       let cmp (ka, _) (kb, _) = compare_keys ks ka kb in
       let buf : (Value.t list * Rval.t array) Vec.t = Vec.create () in
       (* with a limit, keep the buffer bounded: sort-and-truncate whenever it
@@ -741,11 +849,11 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
             in
             (try
                for i = 0 to n - 1 do
-                 emit (snd (Vec.get buf i))
+                 em.emit (snd (Vec.get buf i))
                done
              with Stop -> ());
             Op_trace.live_sub st (Vec.length buf);
-            close_down ())
+            em.close ())
       in
       let ctr = run_plan common x op in
       tr.Op_trace.children <- [ ctr ];
@@ -794,7 +902,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       in
       let tr = mk_trace (label plan) in
       let seen = KeyTbl.create 64 in
-      let emit, _, close_down = emitter tr fields sink in
+      let em = emitter tr fields sink in
       let op =
         mk_sink tr ~alive:sink.k_alive
           ~consume:(fun chunk ->
@@ -805,12 +913,12 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
                 if not (KeyTbl.mem seen key) then begin
                   KeyTbl.add seen key ();
                   Op_trace.live_add st 1;
-                  emit row
+                  em.emit row
                 end)
               chunk)
           ~close:(fun () ->
             Op_trace.live_sub st (KeyTbl.length seen);
-            close_down ())
+            em.close ())
       in
       let ctr = run_plan common x op in
       tr.Op_trace.children <- [ ctr ];
@@ -818,42 +926,52 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
     | Physical.All_distinct (x, distinct_fields) ->
       let fields = Physical.output_fields x in
       let layout = Batch.create fields in
-      let positions = List.map (Batch.pos layout) distinct_fields in
+      let positions = Array.of_list (List.map (Batch.pos layout) distinct_fields) in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
-          tick ();
-          let ids = List.concat_map (fun p -> Rval.edge_ids row.(p)) positions in
-          let distinct =
-            let tbl = Hashtbl.create (List.length ids) in
-            List.for_all
-              (fun e ->
-                if Hashtbl.mem tbl e then false
-                else begin
-                  Hashtbl.add tbl e ();
-                  true
-                end)
-              ids
-          in
-          if distinct then emit row)
+      let em = emitter tr fields sink in
+      let ids = Ibuf.create () in
+      (* no-repeated-edge filter over the edge-id columns: a row's ids are
+         collected into a reused buffer (a path contributes all its edges)
+         and compared without allocating; survivors leave as a selection
+         view *)
+      chunked x tr ~close:em.close (fun chunk ->
+          let n = Batch.n_rows chunk in
+          tick_n n;
+          let cols = Array.map (Batch.col chunk) positions in
+          let sel = Batch.selection chunk in
+          let keep = Ibuf.create ~cap:n () in
+          for i = 0 to n - 1 do
+            let p = match sel with None -> i | Some s -> s.(i) in
+            Ibuf.clear ids;
+            Array.iter
+              (function
+                | Batch.D_edge a -> Ibuf.push ids a.(p)
+                | Batch.D_boxed vals -> List.iter (Ibuf.push ids) (Rval.edge_ids vals.(p))
+                | Batch.D_vertex _ -> ())
+              cols;
+            if Ibuf.all_distinct ids then Ibuf.push keep i
+          done;
+          em.emit_rows
+            (if Ibuf.length keep = n then chunk else Batch.select chunk (Ibuf.to_array keep)))
     | Physical.Union (a, b) ->
       let fields = Physical.output_fields a in
       let b_layout = Batch.create (Physical.output_fields b) in
       let tr = mk_trace (label plan) in
       (* forwarding node: counts the combined stream once, like the
          materialized engine recorded the concatenated batch *)
-      let emit, _, close = emitter tr fields sink in
+      let em = emitter tr fields sink in
       let pending = ref 2 in
       let branch_close () =
         decr pending;
-        if !pending = 0 then close ()
+        if !pending = 0 then em.close ()
       in
       let branch on_row =
         mk_sink tr ~alive:sink.k_alive ~close:branch_close
           ~consume:(fun chunk -> Batch.iter on_row chunk)
       in
-      let tra = run_plan common a (branch emit) in
+      let tra = run_plan common a (branch em.emit) in
       let trb =
-        run_plan common b (branch (fun row -> emit (Batch.project_to b_layout fields row)))
+        run_plan common b (branch (fun row -> em.emit (Batch.project_to b_layout fields row)))
       in
       tr.Op_trace.children <- [ tra; trb ];
       tr
@@ -868,20 +986,20 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
         | Logical.C_union ->
           let fields = Physical.output_fields left in
           let r_layout = Batch.create (Physical.output_fields right) in
-          let emit, _, close = emitter tr fields sink in
+          let em = emitter tr fields sink in
           let pending = ref 2 in
           let branch_close () =
             decr pending;
-            if !pending = 0 then close ()
+            if !pending = 0 then em.close ()
           in
           let branch on_row =
             mk_sink tr ~alive:sink.k_alive ~close:branch_close
               ~consume:(fun chunk -> Batch.iter on_row chunk)
           in
-          let l_tr = run_plan inner left (branch emit) in
+          let l_tr = run_plan inner left (branch em.emit) in
           let r_tr =
             run_plan inner right
-              (branch (fun row -> emit (Batch.project_to r_layout fields row)))
+              (branch (fun row -> em.emit (Batch.project_to r_layout fields row)))
           in
           (l_tr, r_tr)
         | Logical.C_join (keys, kind) ->

@@ -396,16 +396,17 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     let join_probe env lbl ~left ~right_batch ~keys ~kind extra_traces =
       let s = psource env left in
       let jc =
-        Operator.Join_core.create ~left_fields:s.s_fields
-          ~right_fields:(Batch.fields right_batch) ~keys ~kind
+        Join_core.create ~left_fields:s.s_fields ~right_fields:(Batch.fields right_batch) ~keys
+          ~kind
       in
-      Batch.iter (fun row -> Operator.Join_core.build jc row) right_batch;
+      Join_core.build jc right_batch;
       Op_trace.live_add st (Batch.n_rows right_batch);
-      let out_fields = jc.Operator.Join_core.out_fields in
+      let out_fields = Join_core.out_fields jc in
       let post b =
-        let out = Batch.create out_fields in
-        Batch.iter (fun lrow -> Operator.Join_core.probe jc lrow (Batch.add out)) b;
-        (out, Batch.n_rows out)
+        (* unbounded window: at most one slice, the whole output *)
+        let out = ref (Batch.create out_fields) in
+        Join_core.probe jc b (fun n slice -> out := slice 0 n);
+        (!out, Batch.n_rows !out)
       in
       let parts, xnode =
         run_morsels ~label:lbl ~out_width:(List.length out_fields) s post
@@ -416,28 +417,39 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
       mk_node lbl (xnode :: extra_traces) out
     in
     match p with
+    | Physical.Group (x, ks, aggs) when Agg.counts_rows ks aggs ->
+      let s = psource env x in
+      let out_fields = List.map (fun a -> a.Logical.agg_alias) aggs in
+      (* a morsel's partial is its row count (one partial group when > 0) *)
+      let post b =
+        let n = Batch.n_rows b in
+        (n, if n > 0 then 1 else 0)
+      in
+      let parts, xnode = run_morsels ~label:lbl ~out_width:(List.length out_fields) s post in
+      let out = Batch.create out_fields in
+      Batch.add out (Agg.count_row aggs (Array.fold_left ( + ) 0 parts));
+      count_rows 1 (List.length out_fields);
+      mk_node lbl [ xnode ] out
     | Physical.Group (x, ks, aggs) ->
       let s = psource env x in
-      let child_layout = Batch.create s.s_fields in
       let out_fields = List.map snd ks @ List.map (fun a -> a.Logical.agg_alias) aggs in
       let post b =
         let tbl : Agg.state array KeyTbl.t = KeyTbl.create 64 in
         let order : Rval.t list Vec.t = Vec.create () in
-        Batch.iter
-          (fun row ->
-            let lk = Eval.lookup_of_row child_layout row in
-            let key = List.map (fun (e, _) -> Eval.eval_rval g lk e) ks in
-            let states =
-              match KeyTbl.find_opt tbl key with
-              | Some states -> states
-              | None ->
-                let states = Array.of_list (List.map Agg.init aggs) in
-                KeyTbl.add tbl key states;
-                Vec.push order key;
-                states
-            in
-            Agg.update_all g lk states aggs)
-          b;
+        for i = 0 to Batch.n_rows b - 1 do
+          let lk = Batch.lookup b i in
+          let key = List.map (fun (e, _) -> Eval.eval_rval g lk e) ks in
+          let states =
+            match KeyTbl.find_opt tbl key with
+            | Some states -> states
+            | None ->
+              let states = Array.of_list (List.map Agg.init aggs) in
+              KeyTbl.add tbl key states;
+              Vec.push order key;
+              states
+          in
+          Agg.update_all g lk states aggs
+        done;
         ((tbl, order), Vec.length order)
       in
       let parts, xnode =

@@ -12,16 +12,30 @@ type t = {
   mode : mode;
   hist : Histograms.t option;
   cache : (string, float) Hashtbl.t;
+      (** Estimate memo; shared by every domain planning against one
+          session, so every access holds [lock]. *)
+  lock : Mutex.t;
 }
 
 let create ?(selectivity = 0.1) ?(mode = High_order) ?histograms glogue =
-  { glogue; sel = selectivity; mode; hist = histograms; cache = Hashtbl.create 256 }
+  {
+    glogue;
+    sel = selectivity;
+    mode;
+    hist = histograms;
+    cache = Hashtbl.create 256;
+    lock = Mutex.create ();
+  }
+
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let glogue t = t.glogue
 let schema t = G.schema (Glogue.graph t.glogue)
 let mode t = t.mode
 let selectivity t = t.sel
-let cache_size t = Hashtbl.length t.cache
+let cache_size t = locked t (fun () -> Hashtbl.length t.cache)
 
 (* Sum of vertex frequencies over a vertex constraint. *)
 let vcon_freq t con =
@@ -255,11 +269,13 @@ let rec freq0 t p =
   (* memoize on the cheap alias-keyed code: iso-canonicalization is factorial
      in pattern size and only needed for the (small) GLogue lookups *)
   let code = Canonical.keyed_code p in
-  match Hashtbl.find_opt t.cache code with
+  match locked t (fun () -> Hashtbl.find_opt t.cache code) with
   | Some f -> f
   | None ->
+    (* computed outside the lock: [compute] recurses into [freq0]; two
+       domains racing on one code store the same value *)
     let f = compute t p in
-    Hashtbl.replace t.cache code f;
+    locked t (fun () -> Hashtbl.replace t.cache code f);
     f
 
 and compute t p =

@@ -56,7 +56,13 @@ let tokenize src =
         done;
         push (Float_lit (float_of_string (String.sub src start (!pos - start))))
       end
-      else push (Int_lit (int_of_string (String.sub src start (!pos - start))))
+      else begin
+        let lit = String.sub src start (!pos - start) in
+        match int_of_string_opt lit with
+        | Some v -> push (Int_lit v)
+        | None ->
+          raise (Lex_error (Printf.sprintf "integer literal %s is out of range" lit, start))
+      end
     end
     else if c = '\'' || c = '"' then begin
       let quote = c in

@@ -249,6 +249,97 @@ let components p =
 
 (* --- full pipeline -------------------------------------------------------- *)
 
+(* --- AllDistinct pruning (type inference applied to Remark 3.1) ---------- *)
+
+(* What the patterns below a plan say about one edge alias. *)
+type edge_typing = {
+  et_src : Gopt_pattern.Type_constraint.t;
+  et_dst : Gopt_pattern.Type_constraint.t;
+  et_con : Gopt_pattern.Type_constraint.t;
+  et_directed : bool;
+  et_path : bool;
+}
+
+let edge_typings plan =
+  Logical.fold
+    (fun acc node ->
+      match node with
+      | Logical.Match p | Logical.Pattern_cont (_, p) ->
+        Array.fold_left
+          (fun acc (e : Pattern.edge) ->
+            let v i = (Pattern.vertex p i).Pattern.v_con in
+            ( e.Pattern.e_alias,
+              {
+                et_src = v e.Pattern.e_src;
+                et_dst = v e.Pattern.e_dst;
+                et_con = e.Pattern.e_con;
+                et_directed = e.Pattern.e_directed;
+                et_path = e.Pattern.e_hops <> None;
+              } )
+            :: acc)
+          acc (Pattern.edges p)
+      | _ -> acc)
+    [] plan
+
+let edge_aliases_below plan = SS.of_list (List.map fst (edge_typings plan))
+
+(* [distinct_groups schema x tags] splits an AllDistinct's edge aliases into
+   the groups whose members may bind the same edge. Two single-hop edges may
+   collide only if one schema triple (src, etype, dst) satisfies both edges'
+   constraints (in either orientation for an undirected edge); the edges of a
+   variable-length path are constrained by their edge types only. Groups are
+   the connected components of that "may collide" relation, in first-tag
+   order; a component is kept when it has two members, or when it holds a
+   path (which may repeat an edge internally) or an alias no pattern below
+   [x] types (compared against everything, conservatively). [[]] resolves to
+   every edge alias below [x] that [x] outputs. *)
+let distinct_groups schema x tags =
+  let module Tc = Gopt_pattern.Type_constraint in
+  let vu = Gopt_graph.Schema.n_vtypes schema and eu = Gopt_graph.Schema.n_etypes schema in
+  let tags =
+    match tags with
+    | [] -> SS.elements (SS.inter (edge_aliases_below x) (SS.of_list (Logical.output_fields x)))
+    | _ -> tags
+  in
+  let typings = edge_typings x in
+  let typing a = List.filter_map (fun (b, t) -> if a = b then Some t else None) typings in
+  let fits t (s, et, d) =
+    Tc.mem ~universe:eu t.et_con et
+    && (t.et_path
+       || (Tc.mem ~universe:vu t.et_src s && Tc.mem ~universe:vu t.et_dst d)
+       || ((not t.et_directed) && Tc.mem ~universe:vu t.et_src d && Tc.mem ~universe:vu t.et_dst s))
+  in
+  let triples = Gopt_graph.Schema.triples schema in
+  let tags = Array.of_list tags in
+  let ts = Array.map typing tags in
+  let untyped i = ts.(i) = [] in
+  let must_keep i = untyped i || List.exists (fun t -> t.et_path) ts.(i) in
+  let collide i j =
+    untyped i || untyped j
+    || Array.exists
+         (fun tr ->
+           List.exists (fun a -> fits a tr) ts.(i) && List.exists (fun b -> fits b tr) ts.(j))
+         triples
+  in
+  let n = Array.length tags in
+  let comp = Array.init n Fun.id in
+  let rec find i = if comp.(i) = i then i else find comp.(i) in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if collide i j then begin
+        let ri = find i and rj = find j in
+        if ri <> rj then comp.(max ri rj) <- min ri rj
+      end
+    done
+  done;
+  List.filter_map
+    (fun r ->
+      let members = List.filter (fun i -> find i = r) (List.init n Fun.id) in
+      if List.length members >= 2 || List.exists must_keep members then
+        Some (List.map (fun i -> tags.(i)) members)
+      else None)
+    (List.filter (fun i -> find i = i) (List.init n Fun.id))
+
 let infer_pass schema plan =
   let invalid = ref 0 in
   let narrow p =
@@ -258,28 +349,21 @@ let infer_pass schema plan =
       incr invalid;
       p
   in
+  (* bottom-up, so an AllDistinct sees its patterns' inferred constraints;
+     it becomes one nested node per group that may collide (the nesting
+     JoinToPattern already uses), or disappears when none may *)
   let rec go node =
-    let node =
-      match node with
-      | Logical.Match p -> Logical.Match (narrow p)
-      | Logical.Pattern_cont (x, p) -> Logical.Pattern_cont (x, narrow p)
-      | other -> other
-    in
-    Logical.map_children go node
+    match Logical.map_children go node with
+    | Logical.Match p -> Logical.Match (narrow p)
+    | Logical.Pattern_cont (x, p) -> Logical.Pattern_cont (x, narrow p)
+    | Logical.All_distinct (x, tags) ->
+      List.fold_left
+        (fun acc group -> Logical.All_distinct (acc, group))
+        x (distinct_groups schema x tags)
+    | other -> other
   in
   let plan' = go plan in
   (plan', !invalid)
-
-let edge_aliases_below plan =
-  Logical.fold
-    (fun acc node ->
-      match node with
-      | Logical.Match p | Logical.Pattern_cont (_, p) ->
-        Array.fold_left
-          (fun acc (e : Pattern.edge) -> SS.add e.Pattern.e_alias acc)
-          acc (Pattern.edges p)
-      | _ -> acc)
-    SS.empty plan
 
 let plan config gq logical =
   let schema =

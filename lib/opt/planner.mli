@@ -80,3 +80,14 @@ val compile_continuation :
 (** Extend rows that already bind [bound] vertex aliases to full matches of
     the pattern, choosing the expansion order greedily by estimated
     cardinality. Used for [Pattern_cont] (ComSubPattern continuations). *)
+
+val distinct_groups :
+  Gopt_graph.Schema.t -> Gopt_gir.Logical.t -> string list -> string list list
+(** [distinct_groups schema x tags] is how type inference prunes
+    [All_distinct (x, tags)]: the groups of edge aliases that may bind the
+    same edge, each becoming one nested AllDistinct. Two single-hop edges
+    may collide only if some schema triple satisfies both edges' inferred
+    constraints (either orientation for an undirected edge); a
+    variable-length path may collide with any edge of its types and is
+    kept even alone. Groups with a single single-hop member are dropped;
+    [[]] tags resolve to the edge aliases below [x]. *)

@@ -210,7 +210,12 @@ let generate ?(seed = 42) ~persons () =
         let target =
           if Prng.int rng 10 < 7 then begin
             let offset = 1 + Prng.int rng 60 in
-            let j = (i + if Prng.bool rng then offset else persons - offset) mod persons in
+            (* non-negative modulo: [persons - offset] is negative below 61
+               persons; equal to the plain [mod] whenever that is in range *)
+            let j =
+              (((i + if Prng.bool rng then offset else persons - offset) mod persons) + persons)
+              mod persons
+            in
             people.(j)
           end
           else zipf_person ()

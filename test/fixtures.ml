@@ -97,6 +97,72 @@ let p_to_city =
     [| pv "a" Tc.All; pv "b" (Tc.Basic city) |]
     [| pe "e" 0 1 Tc.All |]
 
+(* A larger instance of the Fixtures schema, sized so that morsel_size 16
+   splits every scan into several morsels (90 persons -> 6 morsels).
+   Property values reuse the Fixtures naming scheme ('p0'..'p7', ...) so the
+   constants produced by [Gen_query] select non-trivial subsets, and the
+   mod-8 names create genuine duplicate keys for DISTINCT / group-by. *)
+let big_graph =
+  let rng = Gopt_util.Prng.create 7 in
+  let b = G.Builder.create schema in
+  let persons =
+    Array.init 90 (fun i ->
+        G.Builder.add_vertex b ~vtype:person
+          [
+            ("name", Value.Str (Printf.sprintf "p%d" (i mod 8)));
+            ("age", Value.Int (Gopt_util.Prng.int_in rng 18 60));
+          ])
+  in
+  let cities =
+    Array.init 6 (fun i ->
+        G.Builder.add_vertex b ~vtype:city
+          [ ("name", Value.Str (Printf.sprintf "c%d" i)) ])
+  in
+  let products =
+    Array.init 12 (fun i ->
+        G.Builder.add_vertex b ~vtype:product
+          [ ("name", Value.Str (Printf.sprintf "g%d" (i mod 8))) ])
+  in
+  let pick a = a.(Gopt_util.Prng.int rng (Array.length a)) in
+  Array.iter
+    (fun p ->
+      for _ = 1 to Gopt_util.Prng.int rng 4 do
+        ignore
+          (G.Builder.add_edge b ~src:p ~dst:(pick persons) ~etype:knows
+             [ ("since", Value.Int (Gopt_util.Prng.int_in rng 2000 2024)) ])
+      done;
+      ignore (G.Builder.add_edge b ~src:p ~dst:(pick cities) ~etype:lives_in []);
+      for _ = 1 to Gopt_util.Prng.int rng 3 do
+        ignore (G.Builder.add_edge b ~src:p ~dst:(pick products) ~etype:purchased [])
+      done)
+    persons;
+  Array.iter
+    (fun g ->
+      ignore (G.Builder.add_edge b ~src:g ~dst:(pick cities) ~etype:produced_in []))
+    products;
+  G.Builder.freeze b
+
+(* Full textual render of a batch — fields, then every row in order. Two
+   batches render equal iff they are byte-identical (order included). *)
+let render g b =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (String.concat "|" (Gopt_exec.Batch.fields b));
+  Gopt_exec.Batch.iter
+    (fun row ->
+      Buffer.add_char buf '\n';
+      Array.iter
+        (fun v ->
+          Buffer.add_string buf (Format.asprintf "%a" (Gopt_exec.Rval.pp g) v);
+          Buffer.add_char buf '|')
+        row)
+    b;
+  Buffer.contents buf
+
+let canon_rows b =
+  let rows = ref [] in
+  Gopt_exec.Batch.iter (fun row -> rows := Array.to_list row :: !rows) b;
+  List.sort (List.compare Gopt_exec.Rval.compare) !rows
+
 (* Does the plan cut its row set at a boundary where ties may sit
    (LIMIT/SKIP, or ORDER BY with a fused top-k)? Any engine, chunk size or
    worker count may legitimately keep a different subset of tied rows, so

@@ -30,73 +30,7 @@ module Value = Gopt_graph.Value
 module Prng = Gopt_util.Prng
 open Fixtures
 
-(* A larger instance of the Fixtures schema, sized so that morsel_size 16
-   splits every scan into several morsels (90 persons -> 6 morsels).
-   Property values reuse the Fixtures naming scheme ('p0'..'p7', ...) so the
-   constants produced by [Gen_query] select non-trivial subsets, and the
-   mod-8 names create genuine duplicate keys for DISTINCT / group-by. *)
-let big_graph =
-  let rng = Prng.create 7 in
-  let b = G.Builder.create schema in
-  let persons =
-    Array.init 90 (fun i ->
-        G.Builder.add_vertex b ~vtype:person
-          [
-            ("name", Value.Str (Printf.sprintf "p%d" (i mod 8)));
-            ("age", Value.Int (Prng.int_in rng 18 60));
-          ])
-  in
-  let cities =
-    Array.init 6 (fun i ->
-        G.Builder.add_vertex b ~vtype:city
-          [ ("name", Value.Str (Printf.sprintf "c%d" i)) ])
-  in
-  let products =
-    Array.init 12 (fun i ->
-        G.Builder.add_vertex b ~vtype:product
-          [ ("name", Value.Str (Printf.sprintf "g%d" (i mod 8))) ])
-  in
-  let pick a = a.(Prng.int rng (Array.length a)) in
-  Array.iter
-    (fun p ->
-      for _ = 1 to Prng.int rng 4 do
-        ignore
-          (G.Builder.add_edge b ~src:p ~dst:(pick persons) ~etype:knows
-             [ ("since", Value.Int (Prng.int_in rng 2000 2024)) ])
-      done;
-      ignore (G.Builder.add_edge b ~src:p ~dst:(pick cities) ~etype:lives_in []);
-      for _ = 1 to Prng.int rng 3 do
-        ignore (G.Builder.add_edge b ~src:p ~dst:(pick products) ~etype:purchased [])
-      done)
-    persons;
-  Array.iter
-    (fun g ->
-      ignore (G.Builder.add_edge b ~src:g ~dst:(pick cities) ~etype:produced_in []))
-    products;
-  G.Builder.freeze b
-
 let session = lazy (Gopt.Session.create big_graph)
-
-(* Full textual render of a batch — fields, then every row in order. Two
-   batches render equal iff they are byte-identical (order included). *)
-let render g b =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (String.concat "|" (Batch.fields b));
-  Batch.iter
-    (fun row ->
-      Buffer.add_char buf '\n';
-      Array.iter
-        (fun v ->
-          Buffer.add_string buf (Format.asprintf "%a" (Rval.pp g) v);
-          Buffer.add_char buf '|')
-        row)
-    b;
-  Buffer.contents buf
-
-let canon_rows b =
-  let rows = ref [] in
-  Batch.iter (fun row -> rows := Array.to_list row :: !rows) b;
-  List.sort (List.compare Rval.compare) !rows
 
 (* One differential check: workers:1 vs workers:4 byte-identical (at the
    given pipelined chunk granularity), the row-interpreter path
